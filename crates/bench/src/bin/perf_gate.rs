@@ -19,7 +19,7 @@ use std::sync::{Barrier, Mutex};
 use serde::Serialize;
 
 use mantle_core::{MantleCluster, MantleConfig, PathLeaseConfig};
-use mantle_tafdb::{dir_region, entry_key, EngineKind, Row, TafDb, TafDbOptions};
+use mantle_tafdb::{dir_region, entry_key, Row, TafDb, TafDbOptions};
 use mantle_types::hist::Histogram;
 use mantle_types::stats::OpStatsAgg;
 use mantle_types::{clock, InodeId, Permission, RequestCtx, SimConfig};
@@ -46,11 +46,6 @@ struct GateRow {
     mean_us: f64,
     /// p99 virtual-clock latency (µs).
     p99_us: f64,
-    /// Real (wall-clock) time threads spent blocked on storage-engine
-    /// latches (µs). Informational, not baseline-gated: it is scheduler-
-    /// dependent, unlike the virtual-clock metrics above. The mixed
-    /// scan+create rows compare it *between engines* instead.
-    lock_wait_us: f64,
     /// Ops shed by a bounded admission queue. Zero everywhere except the
     /// `Overload` row, where sheds are the point of the experiment.
     shed: u64,
@@ -99,7 +94,6 @@ fn run_suite() -> Vec<GateRow> {
             rpcs: report.agg.rpcs,
             mean_us: report.mean_latency_micros(),
             p99_us: report.latency.quantile(0.99) as f64 / 1_000.0,
-            lock_wait_us: 0.0,
             shed: 0,
         });
     }
@@ -191,7 +185,6 @@ fn run_cache_rows() -> (Vec<GateRow>, Vec<String>) {
         rpcs: on.agg.rpcs,
         mean_us: on.mean_latency_micros(),
         p99_us: on.latency.quantile(0.99) as f64 / 1_000.0,
-        lock_wait_us: 0.0,
         shed: 0,
     }];
 
@@ -216,35 +209,27 @@ fn run_cache_rows() -> (Vec<GateRow>, Vec<String>) {
         rpcs: rn.agg.rpcs,
         mean_us: rn.mean_latency_micros(),
         p99_us: rn.latency.quantile(0.99) as f64 / 1_000.0,
-        lock_wait_us: 0.0,
         shed: 0,
     });
     (rows, failures)
 }
 
-// --- mixed scan+create workload (engine comparison row) --------------------
+// --- mixed scan+create workload ---------------------------------------------
 
-/// Entries bulk-loaded into the scanned directory. Sized so a btree
+/// Entries bulk-loaded into the scanned directory. Sized so a
 /// full-directory scan holds the shard latch for multiple scheduler
-/// timeslices — the structural stall mvcc's chunked snapshot reads avoid
-/// — which keeps the engine comparison robust even on a single core.
+/// timeslices, so creators really contend with scanners.
 const MIX_ENTRIES: usize = 20_000;
 /// `readdir` calls per scanner thread / inserts per creator thread.
 const MIX_SCANS: usize = 8;
 const MIX_CREATES: usize = 200;
 /// Scanner threads and creator threads (each).
 const MIX_THREADS: usize = 4;
-/// Below this much total blocked time the run saw no meaningful engine
-/// contention (idle box, huge core count) and the btree-vs-mvcc
-/// comparison is skipped rather than asserted on noise.
-const MIX_WAIT_FLOOR_NANOS: u64 = 50_000;
 
 struct MixedOutcome {
     row: GateRow,
-    /// Total blocked time on engine latches over the run (nanos).
-    lock_wait_nanos: u64,
     /// Order-independent digest of every op result (scan contents +
-    /// final listings) — must match across engines exactly.
+    /// final listings) — must match across passes exactly.
     checksum: u64,
 }
 
@@ -259,16 +244,16 @@ fn digest(entries: &[mantle_types::DirEntry]) -> u64 {
     h
 }
 
-/// Runs the mixed scan+create workload on one engine: scanner threads
-/// repeatedly `readdir` one large static directory while creator threads
-/// insert into private directories that live on the *same shard* — maximum
+/// Runs the mixed scan+create workload: scanner threads repeatedly
+/// `readdir` one large static directory while creator threads insert into
+/// private directories that live on the *same shard* — maximum
 /// engine-latch contention with zero transactional conflicts, so op
-/// results stay a pure function of the workload while the engines differ
-/// only in how long the threads block on each other.
-fn run_mixed(engine: EngineKind) -> MixedOutcome {
+/// results stay a pure function of the workload. The raw `TafDb` calls
+/// never enter a `RequestCtx` phase, so latency comes from each op's
+/// measured virtual elapsed time.
+fn run_mixed() -> MixedOutcome {
     let opts = TafDbOptions {
         n_shards: 4,
-        engine,
         ..Default::default()
     };
     let db = TafDb::new(SimConfig::default(), opts);
@@ -366,31 +351,28 @@ fn run_mixed(engine: EngineKind) -> MixedOutcome {
     });
 
     // Fold the final listings in too: identical acknowledged writes must
-    // leave identical readable state on both engines.
+    // leave identical readable state on both passes.
     let mut end_stats = RequestCtx::new();
     for &cpid in &creator_pids {
         let entries = db.readdir(cpid, &mut end_stats);
         checksum.fetch_add(digest(&entries), Ordering::Relaxed);
     }
 
-    let lock_wait_nanos = db.engine_lock_wait_nanos();
     let (agg, hist) = {
         let m = merged.lock().unwrap();
         (m.0.clone(), m.1.clone())
     };
     MixedOutcome {
         row: GateRow {
-            op: format!("Mixed[{}]", engine.name()),
+            op: "Mixed[btree]".to_string(),
             threads: 2 * MIX_THREADS,
             completed: completed.load(Ordering::Relaxed),
             failed: failed.load(Ordering::Relaxed),
             rpcs: agg.rpcs,
-            mean_us: agg.mean_total_micros(),
+            mean_us: hist.mean() / 1_000.0,
             p99_us: hist.quantile(0.99) as f64 / 1_000.0,
-            lock_wait_us: lock_wait_nanos as f64 / 1_000.0,
             shed: 0,
         },
-        lock_wait_nanos,
         checksum: checksum.load(Ordering::Relaxed),
     }
 }
@@ -410,20 +392,16 @@ fn write_json(path: &str, payload: &serde_json::Value) {
 }
 
 /// One gated metric comparison; returns a failure description on
-/// regression beyond [`TOLERANCE`].
+/// regression beyond [`TOLERANCE`], or when either value is not positive:
+/// a gated metric that was never populated cannot detect a regression.
 fn check(op: &str, metric: &str, measured: f64, baseline: f64) -> Result<String, String> {
-    let delta = if baseline > 0.0 {
-        (measured - baseline) / baseline
-    } else if measured > 0.0 {
-        f64::INFINITY
-    } else {
-        0.0
-    };
-    let line = format!(
-        "{op:<8} {metric:<12} baseline {baseline:>10.2}  measured {measured:>10.2}  \
-         ({:+.1}%)",
-        delta * 100.0
-    );
+    let values =
+        format!("{op:<8} {metric:<12} baseline {baseline:>10.2}  measured {measured:>10.2}");
+    if baseline <= 0.0 || measured <= 0.0 {
+        return Err(format!("{values}  (zero: the metric was never populated)"));
+    }
+    let delta = (measured - baseline) / baseline;
+    let line = format!("{values}  ({:+.1}%)", delta * 100.0);
     if delta > TOLERANCE {
         Err(line)
     } else {
@@ -501,7 +479,6 @@ fn run_overload() -> GateRow {
         rpcs: report.agg.rpcs,
         mean_us: report.mean_latency_micros(),
         p99_us: report.latency.quantile(0.99) as f64 / 1_000.0,
-        lock_wait_us: 0.0,
         shed: report.shed,
     }
 }
@@ -537,70 +514,30 @@ fn main() {
         })
         .collect();
 
-    // Mixed scan+create comparison row, once per engine. Same two-pass
-    // determinism contract for op results; lock-wait time is real blocked
-    // time, so take the *minimum* over the passes — scheduler noise only
-    // ever inflates blocked time, never deflates it.
-    let mut mixed = Vec::new();
-    for engine in [EngineKind::Btree, EngineKind::Mvcc] {
-        let a = run_mixed(engine);
-        let b = run_mixed(engine);
-        assert_eq!(
-            (a.row.completed, a.row.failed, a.row.rpcs, a.checksum),
-            (b.row.completed, b.row.failed, b.row.rpcs, b.checksum),
-            "Mixed[{}]: op results differ between passes",
-            engine.name()
-        );
-        let wait = a.lock_wait_nanos.min(b.lock_wait_nanos);
-        mixed.push(MixedOutcome {
-            row: GateRow {
-                mean_us: a.row.mean_us.min(b.row.mean_us),
-                p99_us: a.row.p99_us.min(b.row.p99_us),
-                lock_wait_us: wait as f64 / 1_000.0,
-                ..a.row.clone()
-            },
-            lock_wait_nanos: wait,
-            checksum: a.checksum,
-        });
-    }
-    // Engine independence: identical ops must produce identical results
-    // and identical readable state whichever engine serves them.
+    // Mixed scan+create row, same two-pass determinism contract for op
+    // results and final readable state.
+    let (mix_a, mix_b) = (run_mixed(), run_mixed());
     assert_eq!(
         (
-            mixed[0].row.completed,
-            mixed[0].row.failed,
-            mixed[0].row.rpcs,
-            mixed[0].checksum
+            mix_a.row.completed,
+            mix_a.row.failed,
+            mix_a.row.rpcs,
+            mix_a.checksum
         ),
         (
-            mixed[1].row.completed,
-            mixed[1].row.failed,
-            mixed[1].row.rpcs,
-            mixed[1].checksum
+            mix_b.row.completed,
+            mix_b.row.failed,
+            mix_b.row.rpcs,
+            mix_b.checksum
         ),
-        "btree and mvcc disagree on mixed-workload op results"
+        "{}: op results differ between passes",
+        mix_a.row.op
     );
-    let (btree_wait, mvcc_wait) = (mixed[0].lock_wait_nanos, mixed[1].lock_wait_nanos);
-    let mut engine_failures = Vec::new();
-    println!(
-        "Mixed scan+create lock-wait: btree {:.1}us, mvcc {:.1}us",
-        btree_wait as f64 / 1_000.0,
-        mvcc_wait as f64 / 1_000.0
-    );
-    if btree_wait <= MIX_WAIT_FLOOR_NANOS {
-        println!(
-            "  (below the {}us contention floor — engine comparison skipped)",
-            MIX_WAIT_FLOOR_NANOS / 1_000
-        );
-    } else if mvcc_wait >= btree_wait {
-        engine_failures.push(format!(
-            "mvcc lock-wait ({:.1}us) is not below btree ({:.1}us) under the \
-             mixed scan+create workload",
-            mvcc_wait as f64 / 1_000.0,
-            btree_wait as f64 / 1_000.0
-        ));
-    }
-    rows.extend(mixed.into_iter().map(|m| m.row));
+    rows.push(GateRow {
+        mean_us: mix_a.row.mean_us.min(mix_b.row.mean_us),
+        p99_us: mix_a.row.p99_us.min(mix_b.row.p99_us),
+        ..mix_a.row
+    });
 
     // Path-lease cache rows, same two-pass determinism contract.
     let (cache_a, cache_failures) = run_cache_rows();
@@ -700,10 +637,6 @@ fn main() {
         println!("{line}");
     }
 
-    for msg in &engine_failures {
-        println!("ENGINE CHECK FAILED: {msg}");
-        failures.push("Mixed[mvcc]".into());
-    }
     for msg in &cache_failures {
         println!("CACHE CHECK FAILED: {msg}");
         failures.push("WarmStat[cache]".into());

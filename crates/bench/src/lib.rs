@@ -10,8 +10,6 @@
 //! rows to `results/<figure>.json`. The environment variable `MANTLE_SCALE`
 //! selects the run size: `quick` (default; minutes on a laptop core) or
 //! `full` (closer to the paper's thread counts; slower).
-//!
-//! Criterion micro-benchmarks live in `benches/`.
 
 pub mod report;
 pub mod runner;

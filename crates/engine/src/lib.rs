@@ -1,43 +1,35 @@
-//! Pluggable ordered-KV storage engines (DESIGN.md §4.12).
+//! TafDB's ordered-KV storage engine (DESIGN.md §4.12).
 //!
-//! [`StorageEngine`] is the boundary between TafDB's shard runtime (row
-//! locks, WAL, fault points, RPC modeling — all above this trait) and the
-//! physical row organisation below it. Two engines ship:
+//! [`BTreeEngine`] is the boundary between TafDB's shard runtime (row
+//! locks, WAL, fault points, RPC modeling — all above it) and the
+//! physical row organisation below it: a reader-writer lock around a
+//! B-tree. Range scans hold the shared lock for the whole scan, so
+//! writers wait behind long scans; hot-directory write contention is
+//! handled above the engine by delta records (§5.2.1).
 //!
-//! * [`btree::BTreeEngine`] — a reader-writer lock around a B-tree, the
-//!   historical structure and the default. Range scans hold the shared
-//!   lock for the whole scan, so writers wait behind long scans.
-//! * [`mvcc::MvccEngine`] — copy-on-write version chains. Scans pin a
-//!   snapshot sequence number and walk the tree in short chunks, releasing
-//!   the latch between chunks; consistency comes from the pinned versions,
-//!   not from holding the lock, so writers overtake long scans.
+//! The engine dumps its rows in a checkpoint **image format** (a framed,
+//! checksummed row dump — byte-identical for identical rows, whatever
+//! write history produced them), which WAL checkpoint records, Raft shard
+//! restore and online shard migration all ship.
 //!
-//! Both engines expose the same checkpoint **image format** (a framed,
-//! checksummed row dump — byte-identical for identical logical contents),
-//! so WAL checkpoint records, Raft shard restore and online shard
-//! migration work unchanged regardless of the engine underneath.
-//!
-//! Engines also self-report *lock-wait* time: real nanoseconds threads
-//! spent blocked acquiring the engine's internal latch (fast-path
-//! `try_lock` first, so the uncontended case records nothing). This is
-//! deliberately kept out of the virtual-clock ledger — it is a wall-time
-//! contention measurement, zero in deterministic single-threaded runs —
-//! and is what `perf_gate`'s mixed scan+create row compares across
-//! engines.
+//! The engine also self-reports *lock-wait* time: real nanoseconds threads
+//! spent blocked acquiring its internal latch (fast-path `try_lock` first,
+//! so the uncontended case records nothing). This is deliberately kept out
+//! of the virtual-clock ledger — it is a wall-time contention measurement,
+//! zero in deterministic single-threaded runs.
 
 use std::ops::Bound;
+use std::sync::Arc;
 
 use mantle_store::RowKey;
 use mantle_types::snapshot::{frame, unframe, SnapshotReader, SnapshotWriter};
 use mantle_types::{InodeId, TxnId};
 
 pub mod btree;
-pub mod mvcc;
 
 pub use btree::BTreeEngine;
-pub use mvcc::MvccEngine;
 
-/// A value storable by an engine: cloneable, shareable, and serializable
+/// A value storable by the engine: cloneable, shareable, and serializable
 /// into the checkpoint image format.
 pub trait EngineValue: Clone + Send + Sync + 'static {
     /// Appends this value (tag + payload) to a checkpoint image.
@@ -53,126 +45,6 @@ pub enum WriteOp<V> {
     Put(RowKey, V),
     /// Remove (a no-op if the key is absent).
     Delete(RowKey),
-}
-
-/// Read-modify-write closure for [`StorageEngine::update`]: sees the
-/// current value, returns `(next value — None deletes, caller result)`.
-pub type UpdateFn<'a, V> = dyn FnMut(Option<&V>) -> (Option<V>, bool) + 'a;
-
-/// Range-transform closure for [`StorageEngine::update_range`]: sees every
-/// live row in the bounds, returns the mutations to apply atomically.
-pub type RangeFn<'a, V> = dyn FnMut(&[(RowKey, V)]) -> Vec<WriteOp<V>> + 'a;
-
-/// An ordered key-value storage engine: point reads and writes, atomic
-/// batches, bounded range scans, and checkpoint/restore byte images.
-///
-/// Thread safety: every method is `&self`; implementations synchronise
-/// internally. Transaction-level isolation (row locks, 2PC) lives above
-/// this trait — an engine only promises that each *method call* is atomic
-/// and that scans return a consistent point-in-time view.
-pub trait StorageEngine<V: EngineValue>: Send + Sync {
-    /// Engine name as selected by `MANTLE_ENGINE` ("btree", "mvcc").
-    fn name(&self) -> &'static str;
-
-    /// Reads the row at `key`.
-    fn get(&self, key: &RowKey) -> Option<V>;
-
-    /// Whether a row exists at `key`.
-    fn contains(&self, key: &RowKey) -> bool {
-        self.get(key).is_some()
-    }
-
-    /// Inserts or replaces a row, returning the previous value.
-    fn put(&self, key: RowKey, value: V) -> Option<V>;
-
-    /// Inserts a row only if absent; returns `false` (without writing)
-    /// when the key already exists.
-    fn put_if_absent(&self, key: RowKey, value: V) -> bool;
-
-    /// Removes a row; returns whether it existed.
-    fn delete(&self, key: &RowKey) -> bool;
-
-    /// Atomic read-modify-write of one row. `f` sees the current value and
-    /// returns `(next value — None deletes, caller result)`; the caller
-    /// result is returned.
-    fn update(&self, key: &RowKey, f: &mut UpdateFn<'_, V>) -> bool;
-
-    /// Applies puts and deletes as one atomic batch: a concurrent scan
-    /// sees all of the batch or none of it.
-    fn apply(&self, batch: Vec<WriteOp<V>>);
-
-    /// Up to `limit` live rows with keys in the given bounds, in key
-    /// order, from one consistent point-in-time view.
-    fn scan_range(&self, lo: Bound<RowKey>, hi: Bound<RowKey>, limit: usize) -> Vec<(RowKey, V)>;
-
-    /// Atomic range transform: `f` sees every live row in the bounds (key
-    /// order) and returns mutations applied atomically with the read —
-    /// the engine-neutral form of "fold these delta records into the base
-    /// row invisibly to concurrent scans".
-    fn update_range(&self, lo: Bound<RowKey>, hi: Bound<RowKey>, f: &mut RangeFn<'_, V>);
-
-    /// Every live row in key order — one consistent snapshot.
-    fn export_rows(&self) -> Vec<(RowKey, V)> {
-        self.scan_range(Bound::Unbounded, Bound::Unbounded, usize::MAX)
-    }
-
-    /// Replaces the entire contents (checkpoint restore). Version history,
-    /// if any, is discarded.
-    fn replace_all(&self, rows: Vec<(RowKey, V)>);
-
-    /// Number of live rows.
-    fn len(&self) -> usize;
-
-    /// Whether the engine holds no live rows.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of stored versions, counting superseded ones an MVCC engine
-    /// has not yet garbage-collected. Equals [`StorageEngine::len`] for
-    /// engines without version history.
-    fn version_count(&self) -> usize {
-        self.len()
-    }
-
-    /// Drops superseded versions no snapshot can still read; returns how
-    /// many were reclaimed. A no-op for engines without version history.
-    fn gc(&self) -> usize {
-        0
-    }
-
-    /// Real nanoseconds threads spent blocked on the engine's internal
-    /// latch (scan-vs-write contention; zero when uncontended).
-    fn lock_wait_nanos(&self) -> u64;
-
-    /// Number of blocked latch acquisitions behind the nanos above.
-    fn lock_waits(&self) -> u64;
-
-    /// Serializes the rows selected by `keep` into a framed, checksummed
-    /// checkpoint image — one consistent snapshot (DESIGN.md §4.11). Two
-    /// engines holding the same logical rows produce identical bytes.
-    fn checkpoint_filtered(&self, keep: &dyn Fn(&RowKey) -> bool) -> Vec<u8> {
-        let rows: Vec<(RowKey, V)> = self
-            .export_rows()
-            .into_iter()
-            .filter(|(k, _)| keep(k))
-            .collect();
-        encode_image(&rows)
-    }
-
-    /// Serializes every live row into a framed checkpoint image.
-    fn checkpoint(&self) -> Vec<u8> {
-        self.checkpoint_filtered(&|_| true)
-    }
-
-    /// Replaces the contents from a checkpoint image. Returns the restored
-    /// rows, or `None` — leaving the engine untouched — when the image is
-    /// torn (fails checksum validation).
-    fn restore(&self, framed: &[u8]) -> Option<Vec<(RowKey, V)>> {
-        let rows = decode_image::<V>(framed)?;
-        self.replace_all(rows.clone());
-        Some(rows)
-    }
 }
 
 /// Serializes rows into the framed checkpoint image format: row count,
@@ -231,7 +103,7 @@ pub fn dir_upper_bound(pid: InodeId) -> Bound<RowKey> {
 /// All rows of directory `pid` with names in `[name_from, ..)`, capped at
 /// `limit` (the shape of `readdir`/`list` page scans).
 pub fn scan_dir<V: EngineValue>(
-    engine: &dyn StorageEngine<V>,
+    engine: &BTreeEngine<V>,
     pid: InodeId,
     name_from: &str,
     limit: usize,
@@ -246,7 +118,7 @@ pub fn scan_dir<V: EngineValue>(
 /// All rows `(pid, name, *)` — the base row and every delta record of one
 /// logical entry, in timestamp order.
 pub fn scan_versions<V: EngineValue>(
-    engine: &dyn StorageEngine<V>,
+    engine: &BTreeEngine<V>,
     pid: InodeId,
     name: &str,
 ) -> Vec<(RowKey, V)> {
@@ -259,10 +131,10 @@ pub fn scan_versions<V: EngineValue>(
 
 /// Atomic range transform over the `(pid, name, *)` version range.
 pub fn update_versions<V: EngineValue>(
-    engine: &dyn StorageEngine<V>,
+    engine: &BTreeEngine<V>,
     pid: InodeId,
     name: &str,
-    f: &mut RangeFn<'_, V>,
+    f: impl FnOnce(&[(RowKey, V)]) -> Vec<WriteOp<V>>,
 ) {
     engine.update_range(
         Bound::Included(RowKey::base(pid, name)),
@@ -271,63 +143,20 @@ pub fn update_versions<V: EngineValue>(
     );
 }
 
-/// Which engine implementation backs a shard.
+/// The engine a shard is built with — [`BTreeEngine`], the only one. It
+/// is what TafDB's options name when they construct shards.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EngineKind {
-    /// Reader-writer-locked B-tree (the default; historical behaviour).
+    /// Reader-writer-locked B-tree.
     Btree,
-    /// Copy-on-write version chains with snapshot-pinned chunked scans.
-    Mvcc,
 }
 
 impl EngineKind {
-    /// Reads the `MANTLE_ENGINE` environment knob; unset or unrecognised
-    /// values select [`EngineKind::Btree`].
-    pub fn from_env() -> Self {
-        match std::env::var("MANTLE_ENGINE") {
-            Ok(v) if v.eq_ignore_ascii_case("mvcc") => EngineKind::Mvcc,
-            _ => EngineKind::Btree,
-        }
-    }
-
     /// Builds an engine of this kind.
-    pub fn build<V: EngineValue>(self) -> std::sync::Arc<dyn StorageEngine<V>> {
+    pub fn build<V: EngineValue>(self) -> Arc<BTreeEngine<V>> {
         match self {
-            EngineKind::Btree => std::sync::Arc::new(BTreeEngine::new()),
-            EngineKind::Mvcc => std::sync::Arc::new(MvccEngine::new()),
+            EngineKind::Btree => Arc::new(BTreeEngine::new()),
         }
-    }
-
-    /// The name `MANTLE_ENGINE` would select this kind by.
-    pub fn name(self) -> &'static str {
-        match self {
-            EngineKind::Btree => "btree",
-            EngineKind::Mvcc => "mvcc",
-        }
-    }
-}
-
-/// Blocked-acquisition accounting shared by the engine implementations.
-#[derive(Default)]
-pub(crate) struct WaitCounters {
-    nanos: std::sync::atomic::AtomicU64,
-    count: std::sync::atomic::AtomicU64,
-}
-
-impl WaitCounters {
-    pub(crate) fn record(&self, waited: std::time::Duration) {
-        use std::sync::atomic::Ordering;
-        self.nanos
-            .fetch_add(waited.as_nanos() as u64, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn nanos(&self) -> u64 {
-        self.nanos.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    pub(crate) fn count(&self) -> u64 {
-        self.count.load(std::sync::atomic::Ordering::Relaxed)
     }
 }
 
@@ -348,123 +177,99 @@ mod tests {
         RowKey::base(InodeId(pid), name)
     }
 
-    fn engines() -> Vec<std::sync::Arc<dyn StorageEngine<u64>>> {
-        vec![EngineKind::Btree.build(), EngineKind::Mvcc.build()]
+    #[test]
+    fn point_ops_round_trip() {
+        let e = EngineKind::Btree.build::<u64>();
+        assert!(e.put(key(1, "a"), 10).is_none());
+        assert_eq!(e.put(key(1, "a"), 11), Some(10));
+        assert_eq!(e.get(&key(1, "a")), Some(11));
+        assert!(e.contains(&key(1, "a")));
+        assert!(e.put_if_absent(key(1, "b"), 2));
+        assert!(!e.put_if_absent(key(1, "b"), 3));
+        assert_eq!(e.len(), 2);
+        assert!(e.delete(&key(1, "a")));
+        assert!(!e.delete(&key(1, "a")));
+        assert_eq!(e.len(), 1);
+        assert!(!e.is_empty());
     }
 
     #[test]
-    fn point_ops_round_trip_on_both_engines() {
-        for e in engines() {
-            assert!(e.put(key(1, "a"), 10).is_none());
-            assert_eq!(e.put(key(1, "a"), 11), Some(10));
-            assert_eq!(e.get(&key(1, "a")), Some(11));
-            assert!(e.contains(&key(1, "a")));
-            assert!(e.put_if_absent(key(1, "b"), 2));
-            assert!(!e.put_if_absent(key(1, "b"), 3));
-            assert_eq!(e.len(), 2);
-            assert!(e.delete(&key(1, "a")));
-            assert!(!e.delete(&key(1, "a")));
-            assert_eq!(e.len(), 1);
-            assert!(!e.is_empty());
-        }
+    fn scan_dir_and_versions_are_bounded_and_ordered() {
+        let e = BTreeEngine::new();
+        e.put(key(1, "a"), 1);
+        e.put(key(1, "b"), 2);
+        e.put(key(2, "a"), 3);
+        e.put(RowKey::delta(InodeId(1), "a", TxnId(7)), 4);
+        assert_eq!(scan_dir(&e, InodeId(1), "", 10).len(), 3);
+        assert_eq!(scan_dir(&e, InodeId(1), "b", 10).len(), 1);
+        assert_eq!(scan_dir(&e, InodeId(1), "", 1).len(), 1);
+        let vs = scan_versions(&e, InodeId(1), "a");
+        let ts: Vec<u64> = vs.iter().map(|(k, _)| k.ts.0).collect();
+        assert_eq!(ts, vec![0, 7]);
     }
 
+    /// Migration and Raft restore ship images between shards whose write
+    /// histories differ: two engines holding the same rows must emit the
+    /// same bytes, however they got there.
     #[test]
-    fn scan_dir_and_versions_match_kvstore_semantics() {
-        for e in engines() {
-            e.put(key(1, "a"), 1);
-            e.put(key(1, "b"), 2);
-            e.put(key(2, "a"), 3);
-            e.put(RowKey::delta(InodeId(1), "a", TxnId(7)), 4);
-            let rows = scan_dir(&*e, InodeId(1), "", 10);
-            assert_eq!(rows.len(), 3, "{}", e.name());
-            let rows = scan_dir(&*e, InodeId(1), "b", 10);
-            assert_eq!(rows.len(), 1);
-            assert_eq!(scan_dir(&*e, InodeId(1), "", 1).len(), 1);
-            let vs = scan_versions(&*e, InodeId(1), "a");
-            let ts: Vec<u64> = vs.iter().map(|(k, _)| k.ts.0).collect();
-            assert_eq!(ts, vec![0, 7]);
-        }
-    }
+    fn checkpoint_images_depend_only_on_rows() {
+        let a = BTreeEngine::new();
+        a.put(key(1, "a"), 1);
+        a.put(key(1, "b"), 2);
+        a.put(key(1, "b"), 20);
+        a.delete(&key(1, "a"));
+        a.put(key(3, "z"), 9);
 
-    #[test]
-    fn checkpoint_images_are_engine_independent() {
-        let [a, b] = [EngineKind::Btree.build(), EngineKind::Mvcc.build()];
-        for e in [&a, &b] {
-            e.put(key(1, "a"), 1);
-            e.put(key(1, "b"), 2);
-            e.put(key(1, "b"), 20); // mvcc: superseded version must not leak
-            e.delete(&key(1, "a"));
-            e.put(key(3, "z"), 9);
-        }
+        let b = BTreeEngine::new();
+        b.apply(vec![
+            WriteOp::Put(key(3, "z"), 9),
+            WriteOp::Put(key(2, "gone"), 5),
+            WriteOp::Put(key(1, "b"), 20),
+        ]);
+        b.delete(&key(2, "gone"));
+
         assert_eq!(a.checkpoint(), b.checkpoint());
-        let filtered = |e: &std::sync::Arc<dyn StorageEngine<u64>>| {
-            e.checkpoint_filtered(&|k| k.pid == InodeId(1))
-        };
+        let filtered = |e: &BTreeEngine<u64>| e.checkpoint_filtered(|k| k.pid == InodeId(1));
         assert_eq!(filtered(&a), filtered(&b));
         assert_ne!(filtered(&a), a.checkpoint());
     }
 
     #[test]
     fn restore_rejects_torn_images() {
-        for e in engines() {
-            e.put(key(1, "a"), 1);
-            e.put(key(2, "b"), 2);
-            let mut img = e.checkpoint();
-            let restored = e.restore(&img).expect("intact image restores");
-            assert_eq!(restored.len(), 2);
-            let last = img.len() - 1;
-            img[last] ^= 0xFF;
-            assert!(e.restore(&img).is_none(), "{}", e.name());
-            assert_eq!(e.len(), 2, "torn restore must leave contents intact");
-        }
+        let e = BTreeEngine::new();
+        e.put(key(1, "a"), 1);
+        e.put(key(2, "b"), 2);
+        let mut img = e.checkpoint();
+        let restored = e.restore(&img).expect("intact image restores");
+        assert_eq!(restored.len(), 2);
+        let last = img.len() - 1;
+        img[last] ^= 0xFF;
+        assert!(e.restore(&img).is_none());
+        assert_eq!(e.len(), 2, "torn restore must leave contents intact");
     }
 
     #[test]
     fn update_range_is_atomic_fold() {
-        for e in engines() {
-            e.put(key(5, "/_ATTR"), 100);
-            e.put(RowKey::delta(InodeId(5), "/_ATTR", TxnId(1)), 1);
-            e.put(RowKey::delta(InodeId(5), "/_ATTR", TxnId(2)), 2);
-            e.put(key(5, "other"), 7);
-            let mut seen = 0;
-            update_versions(&*e, InodeId(5), "/_ATTR", &mut |rows| {
-                seen = rows.len();
-                let sum: u64 = rows.iter().map(|(_, v)| v).sum();
-                let mut ops = vec![WriteOp::Put(key(5, "/_ATTR"), sum)];
-                ops.extend(
-                    rows.iter()
-                        .filter(|(k, _)| k.ts != TxnId::BASE)
-                        .map(|(k, _)| WriteOp::Delete(k.clone())),
-                );
-                ops
-            });
-            assert_eq!(seen, 3);
-            assert_eq!(e.get(&key(5, "/_ATTR")), Some(103));
-            assert_eq!(scan_versions(&*e, InodeId(5), "/_ATTR").len(), 1);
-            assert_eq!(e.get(&key(5, "other")), Some(7));
-        }
-    }
-
-    #[test]
-    fn mvcc_gc_reclaims_superseded_versions() {
-        let e = MvccEngine::<u64>::new();
-        for i in 0..10 {
-            e.put(key(1, "a"), i);
-        }
-        e.put(key(1, "b"), 1);
-        e.delete(&key(1, "b"));
-        assert_eq!(e.len(), 1);
-        assert_eq!(e.version_count(), 1, "writes prune inline when unpinned");
-        // A pinned scan keeps versions alive until it finishes.
-        assert!(e.gc() == 0);
-    }
-
-    #[test]
-    fn engine_kind_env_selection() {
-        assert_eq!(EngineKind::Btree.name(), "btree");
-        assert_eq!(EngineKind::Mvcc.name(), "mvcc");
-        assert_eq!(EngineKind::Btree.build::<u64>().name(), "btree");
-        assert_eq!(EngineKind::Mvcc.build::<u64>().name(), "mvcc");
+        let e = BTreeEngine::new();
+        e.put(key(5, "/_ATTR"), 100);
+        e.put(RowKey::delta(InodeId(5), "/_ATTR", TxnId(1)), 1);
+        e.put(RowKey::delta(InodeId(5), "/_ATTR", TxnId(2)), 2);
+        e.put(key(5, "other"), 7);
+        let mut seen = 0;
+        update_versions(&e, InodeId(5), "/_ATTR", |rows| {
+            seen = rows.len();
+            let sum: u64 = rows.iter().map(|(_, v)| v).sum();
+            let mut ops = vec![WriteOp::Put(key(5, "/_ATTR"), sum)];
+            ops.extend(
+                rows.iter()
+                    .filter(|(k, _)| k.ts != TxnId::BASE)
+                    .map(|(k, _)| WriteOp::Delete(k.clone())),
+            );
+            ops
+        });
+        assert_eq!(seen, 3);
+        assert_eq!(e.get(&key(5, "/_ATTR")), Some(103));
+        assert_eq!(scan_versions(&e, InodeId(5), "/_ATTR").len(), 1);
+        assert_eq!(e.get(&key(5, "other")), Some(7));
     }
 }

@@ -172,7 +172,7 @@ pub struct FaultProfile {
 }
 
 impl FaultProfile {
-    /// A profile that injects nothing — the acceptance-criterion baseline:
+    /// A profile that injects nothing — the zero-fault baseline:
     /// installing `FaultPlan::new(seed, FaultProfile::zeroed())` must leave
     /// figure-harness throughput unchanged.
     pub fn zeroed() -> Self {

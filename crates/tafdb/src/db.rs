@@ -1,8 +1,8 @@
 //! The database core: options, counters, shard construction, and direct
 //! (population/test) access. TafDB is layered (DESIGN.md §4.12):
 //!
-//! - [`crate::shard`] — the per-shard runtime: a pluggable
-//!   [`mantle_engine::StorageEngine`] plus row locks, latches, the
+//! - [`crate::shard`] — the per-shard runtime: a
+//!   [`mantle_engine::BTreeEngine`] plus row locks, latches, the
 //!   group-commit WAL, checkpoint/restore, and contention tracking;
 //! - [`crate::router`] — epoch-versioned [`ShardMap`] routing, the
 //!   `StaleRoute` bounce, and every read path;
@@ -45,9 +45,7 @@ pub struct TafDbOptions {
     /// Number of shards (one per simulated DB server). The paper deploys 18
     /// TafDB servers; the scaled default is [`SCALED_DB_SHARDS`].
     pub n_shards: usize,
-    /// The storage engine backing every shard (DESIGN.md §4.12). The
-    /// default honours the `MANTLE_ENGINE` environment knob ("btree",
-    /// "mvcc"); set explicitly to pin an engine regardless of environment.
+    /// The storage engine backing every shard (DESIGN.md §4.12).
     pub engine: EngineKind,
     /// Master switch for delta records (§5.2.1); off reproduces the
     /// pre-`+delta record` ablation baseline of Figure 16.
@@ -74,7 +72,7 @@ impl Default for TafDbOptions {
     fn default() -> Self {
         TafDbOptions {
             n_shards: SCALED_DB_SHARDS,
-            engine: EngineKind::from_env(),
+            engine: EngineKind::Btree,
             delta_records: true,
             delta_abort_threshold: 3,
             hot_window: Duration::from_millis(100),
@@ -262,20 +260,9 @@ impl TafDb {
         &self.opts
     }
 
-    /// Name of the storage engine backing the shards ("btree", "mvcc").
-    pub fn engine_name(&self) -> &'static str {
-        self.opts.engine.name()
-    }
-
     /// Live rows on shard `i`.
     pub fn shard_rows(&self, i: usize) -> usize {
         self.shards[i].engine.len()
-    }
-
-    /// Versions retained by shard `i`'s engine (equals [`Self::shard_rows`]
-    /// on the btree engine; on MVCC the excess is reclaimable garbage).
-    pub fn shard_versions(&self, i: usize) -> usize {
-        self.shards[i].engine.version_count()
     }
 
     /// Real nanoseconds writers and scans spent blocked on engine-internal
@@ -382,7 +369,7 @@ impl TafDb {
         self.shards
             .iter()
             .map(|shard| {
-                mantle_engine::scan_versions(&*shard.engine, dir, ATTR_ROW_NAME)
+                mantle_engine::scan_versions(&shard.engine, dir, ATTR_ROW_NAME)
                     .iter()
                     .filter(|(k, _)| k.ts != TxnId::BASE)
                     .count()

@@ -323,7 +323,7 @@ impl TafDb {
                     TxnOp::ExpectEmptyDir { dir } => {
                         // Region-expanded: every owner checks its own slice.
                         let has_children =
-                            mantle_engine::scan_dir(&*shard.engine, *dir, "", usize::MAX)
+                            mantle_engine::scan_dir(&shard.engine, *dir, "", usize::MAX)
                                 .iter()
                                 .any(|(k, _)| k.name.as_ref() != ATTR_ROW_NAME);
                         if has_children {
@@ -412,7 +412,7 @@ impl TafDb {
                     // the base owner's exclusive attr lock (same txn) blocks
                     // new appends, so the set is stable through commit.
                     let local: Vec<RowKey> =
-                        mantle_engine::scan_versions(&*shard.engine, *dir, ATTR_ROW_NAME)
+                        mantle_engine::scan_versions(&shard.engine, *dir, ATTR_ROW_NAME)
                             .into_iter()
                             .filter(|(k, _)| k.ts != TxnId::BASE)
                             .map(|(k, _)| k)

@@ -23,13 +23,9 @@
 //!   short write quiescence, and merges cold neighbours back. Stale routing
 //!   snapshots are rejected with `MetaError::StaleRoute` and retried after
 //!   a map refresh;
-//! * **pluggable storage engines** (DESIGN.md §4.12) — each shard's row
-//!   organisation sits behind [`mantle_engine::StorageEngine`]: the
-//!   default `btree` engine preserves the historical reader-writer-locked
-//!   structure, while the `mvcc` engine serves `readdir`/`list`/`dirstat`
-//!   scans from pinned copy-on-write snapshots so they never block (or are
-//!   blocked by) the write path. Select via `MANTLE_ENGINE` or
-//!   [`TafDbOptions::engine`].
+//! * **one storage engine** (DESIGN.md §4.12) — each shard's rows live in
+//!   a [`mantle_engine::BTreeEngine`], a reader-writer-locked B-tree that
+//!   also produces the checkpoint images snapshots and migration ship.
 //!
 //! The implementation is layered accordingly: [`db`] (core + options),
 //! [`shard`](crate::shard) (per-shard runtime), [`router`](crate::router)

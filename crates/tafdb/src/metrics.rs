@@ -21,8 +21,7 @@ pub(crate) struct DbMetrics {
     pub(crate) checkpoints: Counter,
     pub(crate) checkpoint_aborts: Counter,
     /// Rows returned by engine range scans serving `readdir`/`list`/
-    /// `dirstat` (the scan volume the MVCC engine keeps off the write
-    /// path).
+    /// `dirstat` (the scan volume that holds the engine's shared latch).
     pub(crate) range_scan_rows: Counter,
     /// Per-shard busy-time delta over the last controller tick.
     pub(crate) shard_load: Vec<Gauge>,

@@ -5,12 +5,12 @@
 //! Range migration: install a marker (new writes on the shard bounce with
 //! `StaleRoute`), drain in-flight prepares (`in_flight` counter), wait for
 //! row locks in the moving range to release, snapshot the moving rows
-//! through [`mantle_engine::StorageEngine::checkpoint_filtered`], replay the image onto
-//! the target in WAL-logged batches, swap the map (the commit point), then
-//! delete the source copies. Crash points before the swap leave the source
-//! authoritative and drop every staged row (plus its engine versions) from
-//! the target; the `split_prepare`/`split_commit` fault hooks exercise
-//! exactly those windows.
+//! through [`mantle_engine::BTreeEngine::checkpoint_filtered`], replay the
+//! image onto the target in WAL-logged batches, swap the map (the commit
+//! point), then delete the source copies. Crash points before the swap
+//! leave the source authoritative and drop every staged row from the
+//! target; the `split_prepare`/`split_commit` fault hooks exercise exactly
+//! those windows.
 
 use std::collections::HashSet;
 use std::sync::atomic::Ordering;
@@ -135,13 +135,12 @@ impl TafDb {
     /// Migrates the whole range owning `place` to shard `to`: marker →
     /// quiesce → engine-checkpoint snapshot → WAL-logged batched replay →
     /// map swap (epoch bump, the commit point) → source delete. The copy
-    /// rides [`mantle_engine::StorageEngine::checkpoint_filtered`], so the bytes shipped
-    /// are exactly a (filtered) shard checkpoint image and the target
-    /// ingests them engine-agnostically. Crash hooks `split_prepare`
-    /// (before any row copies) and `split_commit` (after the copy, before
-    /// the swap) abort the migration with the source left fully
-    /// authoritative and the target's staged rows — including any engine-
-    /// internal versions they created — discarded.
+    /// rides [`mantle_engine::BTreeEngine::checkpoint_filtered`], so the
+    /// bytes shipped are exactly a (filtered) shard checkpoint image. Crash
+    /// hooks `split_prepare` (before any row copies) and `split_commit`
+    /// (after the copy, before the swap) abort the migration with the
+    /// source left fully authoritative and the target's staged rows
+    /// discarded.
     ///
     /// # Errors
     ///
@@ -198,7 +197,7 @@ impl TafDb {
         // One consistent snapshot of the moving rows, as a filtered
         // checkpoint image (place ranges are not contiguous in key order,
         // so the filter runs per key).
-        let image = src.engine.checkpoint_filtered(&|k: &RowKey| {
+        let image = src.engine.checkpoint_filtered(|k: &RowKey| {
             let p = place_of(k);
             start <= p && p <= end
         });
@@ -223,12 +222,10 @@ impl TafDb {
             .as_ref()
             .is_some_and(|p| p.split_commit_fails(src.node.name()))
         {
-            // Abort: discard the staged target copies and let the target
-            // engine retire whatever versions staging created; the map
-            // never changed, so the source stayed authoritative throughout.
+            // Abort: discard the staged target copies; the map never
+            // changed, so the source stayed authoritative throughout.
             tgt.engine
                 .apply(keys.iter().map(|k| WriteOp::Delete(k.clone())).collect());
-            tgt.engine.gc();
             tgt.wal.append();
             clear();
             return Err(MetaError::Transient {
@@ -279,7 +276,6 @@ impl TafDb {
         src.wal.append();
         src.engine
             .apply(keys.iter().map(|k| WriteOp::Delete(k.clone())).collect());
-        src.engine.gc();
         clear();
 
         self.range_migrations.fetch_add(1, Ordering::Relaxed);

@@ -226,7 +226,7 @@ impl TafDb {
     /// An engine version scan of `dir`'s attribute rows, booked against the
     /// range-scan volume counter.
     fn scan_attr_rows(&self, shard: &Shard, dir: InodeId) -> Vec<(RowKey, Row)> {
-        let rows = mantle_engine::scan_versions(&*shard.engine, dir, ATTR_ROW_NAME);
+        let rows = mantle_engine::scan_versions(&shard.engine, dir, ATTR_ROW_NAME);
         self.metrics.range_scan_rows.add(rows.len() as u64);
         rows
     }
@@ -283,7 +283,7 @@ impl TafDb {
         limit: usize,
     ) -> Vec<DirEntry> {
         let from = start_after.unwrap_or("");
-        let rows = mantle_engine::scan_dir(&*shard.engine, pid, from, limit + 3);
+        let rows = mantle_engine::scan_dir(&shard.engine, pid, from, limit + 3);
         self.metrics.range_scan_rows.add(rows.len() as u64);
         rows.into_iter()
             .filter(|(k, _)| {
@@ -354,9 +354,8 @@ impl TafDb {
     }
 
     /// Lists the direct children of `pid` (split regions merge per-owner
-    /// scans; entries stay in name order). On the MVCC engine the unbounded
-    /// scan walks a pinned snapshot without holding the shard's write path
-    /// back (DESIGN.md §4.12).
+    /// scans; entries stay in name order). The unbounded scan holds the
+    /// shard engine's shared latch for its whole length (DESIGN.md §4.12).
     pub fn readdir(&self, pid: InodeId, stats: &mut RequestCtx) -> Vec<DirEntry> {
         let (rs, re) = dir_region(pid);
         let mut attempt = 0;
@@ -365,7 +364,7 @@ impl TafDb {
             m.record_hit(rs);
             let owners = m.owners_of(rs, re);
             let scan = |shard: &Shard| -> Vec<DirEntry> {
-                let rows = mantle_engine::scan_dir(&*shard.engine, pid, "", usize::MAX);
+                let rows = mantle_engine::scan_dir(&shard.engine, pid, "", usize::MAX);
                 self.metrics.range_scan_rows.add(rows.len() as u64);
                 rows.into_iter()
                     .filter(|(k, _)| k.name.as_ref() != ATTR_ROW_NAME)

@@ -66,7 +66,7 @@ pub fn delta_key(dir: InodeId, ts: TxnId) -> RowKey {
 
 /// [`Row`]'s checkpoint-image codec (DESIGN.md §4.11): a tag byte plus
 /// the variant payload, in a fixed layout so two engines holding the same
-/// rows produce byte-identical images regardless of internal structure.
+/// rows produce byte-identical images regardless of write history.
 impl mantle_engine::EngineValue for Row {
     fn encode(&self, w: &mut mantle_types::snapshot::SnapshotWriter) {
         match self {

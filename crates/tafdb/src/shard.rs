@@ -1,6 +1,6 @@
 //! The per-shard runtime: engine + row locks + WAL + fault points.
 //!
-//! A [`Shard`] bundles one [`StorageEngine`] with everything TafDB layers
+//! A [`Shard`] bundles one [`BTreeEngine`] with everything TafDB layers
 //! above it: the no-wait row-lock table and latches (transaction
 //! isolation), the group-commit WAL (durability), the simulated server
 //! (RPC cost modeling and admission), contention tracking for delta-mode
@@ -16,7 +16,7 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use mantle_engine::{update_versions, StorageEngine, WriteOp};
+use mantle_engine::{update_versions, BTreeEngine, WriteOp};
 use mantle_rpc::SimNode;
 use mantle_store::{GroupCommitWal, LockManager, RowKey};
 use mantle_sync::LatchTable;
@@ -40,10 +40,10 @@ pub(crate) struct HotState {
 }
 
 pub(crate) struct Shard {
-    /// The pluggable row organisation (DESIGN.md §4.12). Everything below
-    /// the trait — structure, versioning, scan consistency — is the
-    /// engine's business; everything above stays in this runtime.
-    pub(crate) engine: Arc<dyn StorageEngine<Row>>,
+    /// The row organisation (DESIGN.md §4.12). Structure and scan
+    /// consistency are the engine's business; everything above stays in
+    /// this runtime.
+    pub(crate) engine: Arc<BTreeEngine<Row>>,
     pub(crate) locks: LockManager,
     pub(crate) latches: LatchTable,
     pub(crate) wal: GroupCommitWal,
@@ -203,7 +203,7 @@ impl TafDb {
                 let _g = InFlight::enter(&shard.in_flight);
                 self.check_route(owner, place, epoch)?;
                 let _latch = shard.latches.exclusive(&dir.raw());
-                let found = shard.engine.update(&attr_key(dir), &mut |cur| match cur {
+                let found = shard.engine.update(&attr_key(dir), |cur| match cur {
                     Some(Row::DirAttr(a)) => {
                         let mut merged = a.clone();
                         merged.apply_delta(&delta);
@@ -250,7 +250,7 @@ impl TafDb {
                 Self::delete_with_deltas(shard, key);
             }
             WriteCmd::MergeAttr(key, delta) => {
-                shard.engine.update(key, &mut |cur| match cur {
+                shard.engine.update(key, |cur| match cur {
                     Some(Row::DirAttr(a)) => {
                         let mut merged = a.clone();
                         merged.apply_delta(delta);
@@ -271,7 +271,7 @@ impl TafDb {
                 shard.delta_dirs.lock().remove(dir);
                 // Atomic range transform: a concurrent dirstat scan never
                 // sees a partially purged delta set.
-                update_versions(&*shard.engine, *dir, ATTR_ROW_NAME, &mut |rows| {
+                update_versions(&shard.engine, *dir, ATTR_ROW_NAME, |rows| {
                     rows.iter()
                         .filter(|(k, _)| k.ts != TxnId::BASE)
                         .map(|(k, _)| WriteOp::Delete(k.clone()))
@@ -291,7 +291,7 @@ impl TafDb {
         let _latch = shard.latches.exclusive(&key.pid.raw());
         shard.delta_dirs.lock().remove(&key.pid);
         let mut existed = false;
-        update_versions(&*shard.engine, key.pid, ATTR_ROW_NAME, &mut |rows| {
+        update_versions(&shard.engine, key.pid, ATTR_ROW_NAME, |rows| {
             existed = rows.iter().any(|(k, _)| k.ts == TxnId::BASE);
             rows.iter()
                 .map(|(k, _)| WriteOp::Delete(k.clone()))
@@ -320,7 +320,7 @@ impl TafDb {
                 // folding, but concurrent delta appends proceed.
                 let _latch = shard.latches.shared(&dir.raw());
                 let mut folded = 0usize;
-                update_versions(&*shard.engine, dir, ATTR_ROW_NAME, &mut |rows| {
+                update_versions(&shard.engine, dir, ATTR_ROW_NAME, |rows| {
                     let deltas: Vec<(RowKey, AttrDelta)> = rows
                         .iter()
                         .filter_map(|(k, v)| match v {
@@ -372,7 +372,7 @@ impl TafDb {
                 }
                 // Deregister only if no deltas snuck in after the fold.
                 let mut reg = shard.delta_dirs.lock();
-                let still_has = mantle_engine::scan_versions(&*shard.engine, dir, ATTR_ROW_NAME)
+                let still_has = mantle_engine::scan_versions(&shard.engine, dir, ATTR_ROW_NAME)
                     .iter()
                     .any(|(k, _)| k.ts != TxnId::BASE);
                 if !still_has {
@@ -385,7 +385,7 @@ impl TafDb {
     // --- checkpoint / restore ----------------------------------------------
 
     /// Checkpoints shard `i` (DESIGN.md §4.11): the engine serializes every
-    /// live row into a checksummed image ([`StorageEngine::checkpoint`]),
+    /// live row into a checksummed image ([`BTreeEngine::checkpoint`]),
     /// the WAL acknowledges it with a checkpoint record (recovery then
     /// truncates the shard's log to it), and the image is retained as the
     /// shard's recovery point. Returns the rows captured.

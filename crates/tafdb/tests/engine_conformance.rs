@@ -1,26 +1,20 @@
-//! Engine conformance suite (DESIGN.md §4.12): every [`StorageEngine`]
-//! implementation must agree, op for op, with a `BTreeMap` reference
-//! model — the btree and mvcc engines run the *same* random op sequence
-//! side by side, including checkpoint/restore round-trips, and any
-//! divergence (return values, scan contents, image bytes) fails the
-//! property. Torn checkpoint images must be rejected without touching
-//! engine state.
+//! Engine conformance suite (DESIGN.md §4.12): the storage engine must
+//! agree, op for op, with a `BTreeMap` reference model over a random op
+//! sequence, including checkpoint/restore round-trips; any divergence
+//! (return values, scan contents, image contents) fails the property.
+//! Torn checkpoint images must be rejected without touching engine state.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use mantle_engine::{
-    decode_image, dir_upper_bound, scan_dir, scan_versions, update_versions, EngineKind,
-    StorageEngine, WriteOp,
+    decode_image, dir_upper_bound, scan_dir, scan_versions, update_versions, BTreeEngine, WriteOp,
 };
 use mantle_store::RowKey;
 use mantle_tafdb::Row;
 use mantle_types::record::ATTR_ROW_NAME;
 use mantle_types::{AttrDelta, DirAttrMeta, InodeId, TxnId};
-
-const ENGINES: [EngineKind; 2] = [EngineKind::Btree, EngineKind::Mvcc];
 
 fn arb_key() -> impl Strategy<Value = RowKey> {
     (
@@ -108,37 +102,30 @@ fn model_scan_versions(model: &BTreeMap<RowKey, Row>, pid: u64, name: &str) -> V
         .collect()
 }
 
-fn run_conformance(kind: EngineKind, ops: &[Op]) -> Result<Vec<u8>, TestCaseError> {
-    let engine: Arc<dyn StorageEngine<Row>> = kind.build();
+fn run_conformance(ops: &[Op]) -> Result<(), TestCaseError> {
+    let engine = BTreeEngine::<Row>::new();
     let mut model: BTreeMap<RowKey, Row> = BTreeMap::new();
-    let name = kind.name();
     for op in ops {
         match op {
             Op::Put(k, v) => {
                 prop_assert_eq!(
                     engine.put(k.clone(), v.clone()),
                     model.insert(k.clone(), v.clone()),
-                    "{}: put prev",
-                    name
+                    "put prev"
                 );
             }
             Op::PutIfAbsent(k, v) => {
                 let fresh = engine.put_if_absent(k.clone(), v.clone());
-                prop_assert_eq!(fresh, !model.contains_key(k), "{}: put_if_absent", name);
+                prop_assert_eq!(fresh, !model.contains_key(k), "put_if_absent");
                 model.entry(k.clone()).or_insert_with(|| v.clone());
             }
             Op::Delete(k) => {
-                prop_assert_eq!(
-                    engine.delete(k),
-                    model.remove(k).is_some(),
-                    "{}: delete",
-                    name
-                );
+                prop_assert_eq!(engine.delete(k), model.remove(k).is_some(), "delete");
             }
             Op::Update(k, v) => {
                 // Merge: bump a DirAttr in place, insert `v` when absent,
                 // leave non-attr rows untouched — and report what happened.
-                let mut f = |cur: Option<&Row>| -> (Option<Row>, bool) {
+                let f = |cur: Option<&Row>| -> (Option<Row>, bool) {
                     match cur {
                         Some(Row::DirAttr(a)) => {
                             let mut a = a.clone();
@@ -149,7 +136,7 @@ fn run_conformance(kind: EngineKind, ops: &[Op]) -> Result<Vec<u8>, TestCaseErro
                         None => (Some(v.clone()), true),
                     }
                 };
-                let got = engine.update(k, &mut f);
+                let got = engine.update(k, f);
                 let (next, want) = f(model.get(k));
                 match next {
                     Some(row) => {
@@ -159,7 +146,7 @@ fn run_conformance(kind: EngineKind, ops: &[Op]) -> Result<Vec<u8>, TestCaseErro
                         model.remove(k);
                     }
                 }
-                prop_assert_eq!(got, want, "{}: update report", name);
+                prop_assert_eq!(got, want, "update report");
             }
             Op::Batch(items) => {
                 let batch: Vec<WriteOp<Row>> = items
@@ -182,7 +169,7 @@ fn run_conformance(kind: EngineKind, ops: &[Op]) -> Result<Vec<u8>, TestCaseErro
                 }
             }
             Op::PurgeVersions(pid) => {
-                update_versions(&*engine, InodeId(*pid), ATTR_ROW_NAME, &mut |rows| {
+                update_versions(&engine, InodeId(*pid), ATTR_ROW_NAME, |rows| {
                     rows.iter()
                         .filter(|(k, _)| k.ts != TxnId::BASE)
                         .map(|(k, _)| WriteOp::Delete(k.clone()))
@@ -199,18 +186,16 @@ fn run_conformance(kind: EngineKind, ops: &[Op]) -> Result<Vec<u8>, TestCaseErro
             }
             Op::ScanDir(pid, from, limit) => {
                 prop_assert_eq!(
-                    scan_dir(&*engine, InodeId(*pid), from, *limit),
+                    scan_dir(&engine, InodeId(*pid), from, *limit),
                     model_scan_dir(&model, *pid, from, *limit),
-                    "{}: scan_dir",
-                    name
+                    "scan_dir"
                 );
             }
             Op::ScanVersions(pid, vname) => {
                 prop_assert_eq!(
-                    scan_versions(&*engine, InodeId(*pid), vname),
+                    scan_versions(&engine, InodeId(*pid), vname),
                     model_scan_versions(&model, *pid, vname),
-                    "{}: scan_versions",
-                    name
+                    "scan_versions"
                 );
             }
             Op::CheckpointRestore => {
@@ -218,45 +203,26 @@ fn run_conformance(kind: EngineKind, ops: &[Op]) -> Result<Vec<u8>, TestCaseErro
                 let decoded = decode_image::<Row>(&image).expect("fresh image decodes");
                 let want: Vec<(RowKey, Row)> =
                     model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-                prop_assert_eq!(&decoded, &want, "{}: image contents", name);
-                prop_assert!(
-                    engine.restore(&image).is_some(),
-                    "{}: restore of a good image",
-                    name
-                );
-                prop_assert_eq!(engine.export_rows(), want, "{}: post-restore rows", name);
+                prop_assert_eq!(&decoded, &want, "image contents");
+                prop_assert!(engine.restore(&image).is_some(), "restore of a good image");
+                prop_assert_eq!(engine.export_rows(), want, "post-restore rows");
             }
         }
-        // Cheap standing invariants after every op.
-        prop_assert_eq!(engine.len(), model.len(), "{}: len", name);
-        prop_assert!(
-            engine.version_count() >= engine.len(),
-            "{}: versions under-count live rows",
-            name
-        );
+        // Cheap standing invariant after every op.
+        prop_assert_eq!(engine.len(), model.len(), "len");
     }
-    // Full-state agreement, then GC must collapse retained versions to
-    // exactly the live rows (nothing is pinned here).
     let want: Vec<(RowKey, Row)> = model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-    prop_assert_eq!(engine.export_rows(), want, "{}: final export", name);
-    engine.gc();
-    prop_assert_eq!(engine.version_count(), engine.len(), "{}: gc residue", name);
-    Ok(engine.checkpoint())
+    prop_assert_eq!(engine.export_rows(), want, "final export");
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Both engines agree with the model on every op of a random sequence,
-    /// and — holding identical rows — emit byte-identical checkpoint
-    /// images (the engine-independence contract migration relies on).
+    /// The engine agrees with the model on every op of a random sequence.
     #[test]
-    fn engines_match_model_and_each_other(ops in prop::collection::vec(arb_op(), 1..60)) {
-        let mut images = Vec::new();
-        for kind in ENGINES {
-            images.push(run_conformance(kind, &ops)?);
-        }
-        prop_assert_eq!(&images[0], &images[1], "checkpoint images diverge across engines");
+    fn engine_matches_model(ops in prop::collection::vec(arb_op(), 1..60)) {
+        run_conformance(&ops)?;
     }
 
     /// A checkpoint image with any single corrupted byte is rejected by
@@ -266,23 +232,15 @@ proptest! {
         rows in prop::collection::vec((arb_key(), arb_row()), 1..12),
         at_byte in 0usize..4096,
     ) {
-        for kind in ENGINES {
-            let engine: Arc<dyn StorageEngine<Row>> = kind.build();
-            for (k, v) in &rows {
-                engine.put(k.clone(), v.clone());
-            }
-            let before = engine.export_rows();
-            let mut image = engine.checkpoint();
-            let idx = at_byte % image.len();
-            image[idx] ^= 0xFF;
-            prop_assert!(
-                engine.restore(&image).is_none(),
-                "{}: corrupted image accepted", kind.name()
-            );
-            prop_assert_eq!(
-                engine.export_rows(), before,
-                "{}: failed restore mutated the engine", kind.name()
-            );
+        let engine = BTreeEngine::<Row>::new();
+        for (k, v) in &rows {
+            engine.put(k.clone(), v.clone());
         }
+        let before = engine.export_rows();
+        let mut image = engine.checkpoint();
+        let idx = at_byte % image.len();
+        image[idx] ^= 0xFF;
+        prop_assert!(engine.restore(&image).is_none(), "corrupted image accepted");
+        prop_assert_eq!(engine.export_rows(), before, "failed restore mutated the engine");
     }
 }

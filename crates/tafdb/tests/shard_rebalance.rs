@@ -10,8 +10,7 @@ use proptest::prelude::*;
 use mantle_rpc::faults::{FaultPlan, FaultProfile};
 use mantle_tafdb::shardmap::DIR_REGION_SPAN;
 use mantle_tafdb::{
-    attr_key, dir_region, entry_key, place_of, EngineKind, Row, ShardMap, TafDb, TafDbOptions,
-    TxnOp,
+    attr_key, dir_region, entry_key, place_of, Row, ShardMap, TafDb, TafDbOptions, TxnOp,
 };
 use mantle_types::{AttrDelta, DirAttrMeta, InodeId, MetaError, Permission, RequestCtx, SimConfig};
 
@@ -305,91 +304,67 @@ fn split_crash_chaos_loses_and_duplicates_nothing() {
     }
 }
 
-// --- migration abort drops staged engine state, on both engines --------------
+// --- migration abort drops staged engine state ------------------------------
 
 /// Single-threaded and deterministic: crash a migration at `split_commit`
-/// (after the whole copy staged onto the target) and check, for each
-/// engine, that the abort discarded every staged row AND every engine-
-/// internal version the staging created — then that a clean retry works.
+/// (after the whole copy staged onto the target) and check that the abort
+/// discarded every staged row — then that a clean retry works.
 #[test]
-fn migration_abort_drops_staged_engine_state_on_both_engines() {
-    for engine in [EngineKind::Btree, EngineKind::Mvcc] {
-        let opts = TafDbOptions {
-            engine,
-            ..TafDbOptions::default()
-        };
-        let db = TafDb::new(SimConfig::instant(), opts);
-        let dir = InodeId(9001);
-        mkdir(&db, dir);
-        for i in 0..40 {
-            create(&db, dir, &format!("e{i}")).unwrap();
-        }
-        let mut stats = RequestCtx::new();
-        let listing_before = db.readdir(dir, &mut stats);
-        assert_eq!(listing_before.len(), 40);
-
-        let (rs, _) = dir_region(dir);
-        let src = db.shard_map().owner(rs);
-        let tgt = (src + 1) % db.n_shards();
-        let (mr_start, mr_end) = {
-            let m = db.shard_map();
-            let r = m.range(m.range_index(rs));
-            (r.start, r.end)
-        };
-        let tgt_rows_before = db.shard_rows(tgt);
-
-        let plan = FaultPlan::new(3, FaultProfile::zeroed());
-        db.install_faults(Some(plan.clone()));
-        plan.force_split_commit_failure(&format!("tafdb{src}"), 1);
-        match db.migrate_range(rs, tgt) {
-            Err(MetaError::Transient { kind, .. }) => assert_eq!(
-                kind,
-                "split_commit",
-                "{}: expected the forced commit crash",
-                engine.name()
-            ),
-            other => panic!("{}: forced crash not surfaced: {other:?}", engine.name()),
-        }
-        db.install_faults(None);
-
-        // Staged rows are gone from the target...
-        assert_eq!(
-            db.shard_rows_in_place_range(tgt, mr_start, mr_end),
-            0,
-            "{}: staged rows survived the abort",
-            engine.name()
-        );
-        assert_eq!(
-            db.shard_rows(tgt),
-            tgt_rows_before,
-            "{}: target live-row count changed across an aborted migration",
-            engine.name()
-        );
-        // ...and so are the versions staging created (the abort path runs
-        // the engine's GC; with nothing pinned, retained versions must
-        // collapse to exactly the live rows).
-        assert_eq!(
-            db.shard_versions(tgt),
-            db.shard_rows(tgt),
-            "{}: aborted staging left garbage versions on the target",
-            engine.name()
-        );
-
-        // The source stayed authoritative throughout.
-        assert_eq!(db.readdir(dir, &mut stats), listing_before);
-
-        // The crash is spent: a clean retry migrates for real.
-        let moved = db.migrate_range(rs, tgt).expect("clean retry");
-        assert!(moved > 0, "{}: retry moved no rows", engine.name());
-        assert_eq!(db.shard_map().owner(rs), tgt);
-        assert_eq!(db.readdir(dir, &mut stats), listing_before);
-        // Post-commit the *source* ran its GC too: no residue there either.
-        assert_eq!(
-            db.shard_rows_in_place_range(src, mr_start, mr_end),
-            0,
-            "{}: committed migration left rows on the source",
-            engine.name()
-        );
-        assert_eq!(db.shard_versions(src), db.shard_rows(src));
+fn migration_abort_drops_staged_engine_state() {
+    let db = TafDb::new(SimConfig::instant(), TafDbOptions::default());
+    let dir = InodeId(9001);
+    mkdir(&db, dir);
+    for i in 0..40 {
+        create(&db, dir, &format!("e{i}")).unwrap();
     }
+    let mut stats = RequestCtx::new();
+    let listing_before = db.readdir(dir, &mut stats);
+    assert_eq!(listing_before.len(), 40);
+
+    let (rs, _) = dir_region(dir);
+    let src = db.shard_map().owner(rs);
+    let tgt = (src + 1) % db.n_shards();
+    let (mr_start, mr_end) = {
+        let m = db.shard_map();
+        let r = m.range(m.range_index(rs));
+        (r.start, r.end)
+    };
+    let tgt_rows_before = db.shard_rows(tgt);
+
+    let plan = FaultPlan::new(3, FaultProfile::zeroed());
+    db.install_faults(Some(plan.clone()));
+    plan.force_split_commit_failure(&format!("tafdb{src}"), 1);
+    match db.migrate_range(rs, tgt) {
+        Err(MetaError::Transient { kind, .. }) => {
+            assert_eq!(kind, "split_commit", "expected the forced commit crash")
+        }
+        other => panic!("forced crash not surfaced: {other:?}"),
+    }
+    db.install_faults(None);
+
+    // Staged rows are gone from the target.
+    assert_eq!(
+        db.shard_rows_in_place_range(tgt, mr_start, mr_end),
+        0,
+        "staged rows survived the abort"
+    );
+    assert_eq!(
+        db.shard_rows(tgt),
+        tgt_rows_before,
+        "target row count changed across an aborted migration"
+    );
+
+    // The source stayed authoritative throughout.
+    assert_eq!(db.readdir(dir, &mut stats), listing_before);
+
+    // The crash is spent: a clean retry migrates for real.
+    let moved = db.migrate_range(rs, tgt).expect("clean retry");
+    assert!(moved > 0, "retry moved no rows");
+    assert_eq!(db.shard_map().owner(rs), tgt);
+    assert_eq!(db.readdir(dir, &mut stats), listing_before);
+    assert_eq!(
+        db.shard_rows_in_place_range(src, mr_start, mr_end),
+        0,
+        "committed migration left rows on the source"
+    );
 }

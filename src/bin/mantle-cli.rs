@@ -213,19 +213,15 @@ fn run_command(
                 cluster.index().table_len(),
                 caches
             );
-            // Per-shard row/version counts make MVCC garbage visible:
-            // versions > rows means uncollected history on that shard.
             out.push_str(&format!(
-                "engine: {} ({} lock waits, {} us blocked)\n",
-                cluster.db().engine_name(),
+                "engine: {} lock waits, {} us blocked\n",
                 cluster.db().engine_lock_waits(),
                 cluster.db().engine_lock_wait_nanos() / 1_000
             ));
             for shard in 0..cluster.db().n_shards() {
                 out.push_str(&format!(
-                    "  shard {shard}: {} rows, {} versions\n",
-                    cluster.db().shard_rows(shard),
-                    cluster.db().shard_versions(shard)
+                    "  shard {shard}: {} rows\n",
+                    cluster.db().shard_rows(shard)
                 ));
             }
             // Per-node admission plane: queue cap, sheds, deadline aborts

@@ -180,7 +180,7 @@ fn chaos_storm_preserves_acknowledged_namespace() {
     }
 }
 
-/// Acceptance criterion: a zeroed profile must be indistinguishable from
+/// Contract: a zeroed profile must be indistinguishable from
 /// no plan at all — nothing injected, nothing recorded, no retries.
 #[test]
 fn zeroed_profile_injects_nothing() {
@@ -264,7 +264,7 @@ fn fault_log_for(seed: u64) -> Vec<mantle::rpc::FaultEvent> {
     plan.events()
 }
 
-/// Acceptance criterion: the same seed + profile against the same workload
+/// Contract: the same seed + profile against the same workload
 /// yields an *identical* fault event sequence; a different seed diverges.
 #[test]
 fn same_seed_same_fault_event_sequence() {

@@ -6,7 +6,7 @@
 //! this binary, so assertions are on non-zero/delta values, never exact
 //! totals.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use mantle::baselines::{InfiniFs, InfiniFsOptions};
 use mantle::obs::flight::{self, FlightConfig, FlightRecorder};
@@ -16,6 +16,17 @@ use mantle::tafdb::{attr_key, entry_key, Row, TafDb, TafDbOptions, TxnOp};
 use mantle::types::clock;
 use mantle::types::{AttrDelta, DirAttrMeta, InodeId, Permission as Perm, ROOT_ID};
 use mantle::workloads::mdtest::{self, ConflictMode, MdOp, MdtestConfig};
+
+/// Serializes the tests that switch the process-global trace sample rate
+/// off: one restoring the default while another loops would let the
+/// sampler pick that loop's ops.
+static SAMPLE_RATE: Mutex<()> = Mutex::new(());
+
+fn sampling_off() -> MutexGuard<'static, ()> {
+    let guard = SAMPLE_RATE.lock().unwrap_or_else(|e| e.into_inner());
+    trace::set_sample_rate(0.0);
+    guard
+}
 
 /// Builds `/d0/d1/.../d{depth-1}` on `svc` and returns the leaf path.
 fn deep_path<S: MetadataService + ?Sized>(svc: &S, depth: usize) -> MetaPath {
@@ -76,7 +87,7 @@ fn trace_records_table1_rpc_counts() {
 /// default 200us RTT = 10us per op).
 #[test]
 fn instrumentation_primitives_are_cheap() {
-    trace::set_sample_rate(0.0);
+    let _sampling = sampling_off();
     let counter = mantle::obs::counter("overhead_test_total", &[("node", "n0")]);
     let gauge = mantle::obs::gauge("overhead_test_depth", &[("node", "n0")]);
     let hist = mantle::obs::histogram("overhead_test_nanos", &[("node", "n0")]);
@@ -244,7 +255,7 @@ fn flight_run(seed: u64) -> (String, String) {
     (slow, explain)
 }
 
-/// Acceptance criterion (ISSUE 6): identical seeds under the virtual clock
+/// Contract: identical seeds under the virtual clock
 /// produce byte-identical slow-op logs and attribution summaries; a
 /// different seed diverges.
 #[test]
@@ -267,7 +278,7 @@ fn flight_recorder_is_deterministic_under_identical_seeds() {
     );
 }
 
-/// Acceptance criterion (ISSUE 6): a seeded chaos sweep (seeds 0..7)
+/// Contract: a seeded chaos sweep (seeds 0..7)
 /// force-captures slow-op traces whose critical-path attribution sums to
 /// the op's end-to-end virtual latency within 1%, while `/metrics` serves
 /// valid Prometheus text mid-run.
@@ -373,7 +384,7 @@ fn chaos_sweep_attributes_slow_ops_and_serves_live_metrics() {
 /// records) plus a hot-path annotation stays under the 10us/op budget.
 #[test]
 fn flight_recorder_overhead_is_cheap() {
-    trace::set_sample_rate(0.0);
+    let _sampling = sampling_off();
     let recorder = Arc::new(FlightRecorder::new(FlightConfig::default()));
     let _guard = flight::install_thread_recorder(recorder.clone());
 
