@@ -216,19 +216,6 @@ fn main() {
             .zip(served_before)
             .map(|(s, before)| s.saturating_sub(before) * service_nanos)
             .collect();
-        if std::env::var("FIG19A_DEBUG").is_ok() {
-            eprintln!("[{mode}] busy deltas: {busy:?}");
-            let m = db.shard_map();
-            for r in m.ranges() {
-                eprintln!(
-                    "  range {:#018x}..{:#018x} shard {} hits {}",
-                    r.start,
-                    r.end,
-                    r.shard,
-                    r.hits()
-                );
-            }
-        }
         let mean = busy.iter().sum::<u64>() as f64 / busy.len().max(1) as f64;
         let ratio = if mean > 0.0 {
             *busy.iter().max().unwrap() as f64 / mean

@@ -57,8 +57,8 @@ impl GateRow {
     }
 }
 
-/// The pinned suite. Mirrors `bench_clock`'s determinism constraints:
-/// `Exclusive` working sets and leader-only reads keep RPC counts and
+/// The pinned suite. Same determinism constraints as the cross-clock test
+/// in `tests/virtual_time.rs`: `Exclusive` working sets and leader-only reads keep RPC counts and
 /// modeled latencies a pure function of the workload; mkdir runs
 /// single-threaded because inode-allocation order decides shard routing.
 fn run_suite() -> Vec<GateRow> {

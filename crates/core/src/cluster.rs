@@ -104,8 +104,8 @@ pub struct MantleConfig {
     /// Equip the proxy with an AM-Cache-style full-path metadata cache
     /// (the Figure 20 experiment; off in Mantle's normal configuration).
     pub amcache: bool,
-    /// Client-side path-lease cache (DESIGN.md §4.13). Defaults from the
-    /// `MANTLE_PATH_CACHE*` environment — off unless opted in, which keeps
+    /// Client-side path-lease cache (DESIGN.md §4.13). Defaults from
+    /// `MANTLE_PATH_CACHE` — off unless opted in, which keeps
     /// the cache-off latency pins byte-identical.
     pub pcache: PathLeaseConfig,
 }

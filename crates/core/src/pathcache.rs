@@ -65,26 +65,16 @@ impl Default for PathLeaseConfig {
 }
 
 impl PathLeaseConfig {
-    /// Resolves the configuration from the environment:
-    /// `MANTLE_PATH_CACHE` (`on`/`1`/`true` enables; default off),
-    /// `MANTLE_PATH_CACHE_CAPACITY`, `MANTLE_PATH_CACHE_TTL_MS`, and
-    /// `MANTLE_PATH_CACHE_NEG_TTL_MS`.
+    /// The default bounds, enabled when `MANTLE_PATH_CACHE` is
+    /// `on`/`1`/`true` (default off).
     pub fn from_env() -> Self {
-        let mut config = PathLeaseConfig::default();
-        if let Ok(v) = std::env::var("MANTLE_PATH_CACHE") {
-            config.enabled =
-                v == "1" || v.eq_ignore_ascii_case("on") || v.eq_ignore_ascii_case("true");
+        let enabled = std::env::var("MANTLE_PATH_CACHE").is_ok_and(|v| {
+            v == "1" || v.eq_ignore_ascii_case("on") || v.eq_ignore_ascii_case("true")
+        });
+        PathLeaseConfig {
+            enabled,
+            ..PathLeaseConfig::default()
         }
-        if let Some(n) = env_u64("MANTLE_PATH_CACHE_CAPACITY") {
-            config.capacity = (n as usize).max(1);
-        }
-        if let Some(ms) = env_u64("MANTLE_PATH_CACHE_TTL_MS") {
-            config.lease_ttl = Duration::from_millis(ms);
-        }
-        if let Some(ms) = env_u64("MANTLE_PATH_CACHE_NEG_TTL_MS") {
-            config.negative_ttl = Duration::from_millis(ms);
-        }
-        config
     }
 
     /// An enabled configuration with the default bounds (tests).
@@ -94,10 +84,6 @@ impl PathLeaseConfig {
             ..PathLeaseConfig::default()
         }
     }
-}
-
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok().and_then(|v| v.parse().ok())
 }
 
 /// One cached positive resolution.

@@ -9,10 +9,13 @@
 //! acceptance tests pin to within 1%).
 //!
 //! Two entry points:
-//! * [`PhaseAttribution::from_delta`] — fold two ledger snapshots.
+//! * `PhaseAttribution(after.delta_since(&before))` — the ledger growth
+//!   between two snapshots.
 //! * [`per_node`] — fold a finished [`Trace`] into *exclusive* per-node
 //!   attributions (each span's delta minus its children's), which is what
 //!   the placement controller consumes per shard.
+
+use std::ops::Deref;
 
 use mantle_types::clock::{TimeCategory, TimeStats};
 use serde::{Serialize, Value};
@@ -22,73 +25,53 @@ use crate::trace::Trace;
 /// Number of attribution phases (one per [`TimeCategory`]).
 pub const N_PHASES: usize = TimeCategory::ALL.len();
 
-/// Per-phase `(count, nanos)` breakdown of a region of simulated time.
+/// Per-phase `(count, nanos)` breakdown of a region of simulated time: a
+/// [`TimeStats`] ledger delta, which it derefs to for `count`, `nanos` and
+/// `total_nanos` (under the virtual clock, the region's end-to-end latency
+/// exactly).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PhaseAttribution {
-    counts: [u64; N_PHASES],
-    nanos: [u64; N_PHASES],
+pub struct PhaseAttribution(pub TimeStats);
+
+impl Deref for PhaseAttribution {
+    type Target = TimeStats;
+
+    fn deref(&self) -> &TimeStats {
+        &self.0
+    }
 }
 
 impl PhaseAttribution {
-    /// The ledger growth between two snapshots of one thread's
-    /// [`TimeStats`] (`before` taken at region entry, `after` at exit).
-    pub fn from_delta(before: &TimeStats, after: &TimeStats) -> Self {
-        let d = after.delta_since(before);
-        let mut out = PhaseAttribution::default();
-        for (i, cat) in TimeCategory::ALL.iter().enumerate() {
-            out.counts[i] = d.count(*cat);
-            out.nanos[i] = d.nanos(*cat);
-        }
-        out
-    }
-
-    /// Charges recorded under `cat`.
-    pub fn count(&self, cat: TimeCategory) -> u64 {
-        self.counts[TimeCategory::ALL.iter().position(|c| *c == cat).unwrap()]
-    }
-
-    /// Nanoseconds attributed to `cat`.
-    pub fn nanos(&self, cat: TimeCategory) -> u64 {
-        self.nanos[TimeCategory::ALL.iter().position(|c| *c == cat).unwrap()]
-    }
-
-    /// Total nanoseconds across all phases. Under the virtual clock this
-    /// equals the region's end-to-end latency exactly.
-    pub fn total_nanos(&self) -> u64 {
-        self.nanos.iter().sum()
+    /// The phases charged at least once or for a nonzero time, with their
+    /// `(nanos, count)`, in ledger order.
+    fn charged(&self) -> impl Iterator<Item = (TimeCategory, u64, u64)> + '_ {
+        TimeCategory::ALL
+            .into_iter()
+            .map(|cat| (cat, self.nanos(cat), self.count(cat)))
+            .filter(|(_, nanos, count)| *count > 0 || *nanos > 0)
     }
 
     /// True when nothing was charged.
     pub fn is_empty(&self) -> bool {
-        self.counts.iter().all(|c| *c == 0) && self.nanos.iter().all(|n| *n == 0)
+        self.charged().next().is_none()
     }
 
     /// Folds another attribution in (aggregation across ops / windows).
     pub fn add(&mut self, other: &PhaseAttribution) {
-        for i in 0..N_PHASES {
-            self.counts[i] += other.counts[i];
-            self.nanos[i] += other.nanos[i];
-        }
+        self.0.add(&other.0);
     }
 
     /// `self - other`, clamped at zero per phase (used to subtract child
     /// spans from a parent for exclusive attribution).
     pub fn saturating_sub(&self, other: &PhaseAttribution) -> PhaseAttribution {
-        let mut out = *self;
-        for i in 0..N_PHASES {
-            out.counts[i] = out.counts[i].saturating_sub(other.counts[i]);
-            out.nanos[i] = out.nanos[i].saturating_sub(other.nanos[i]);
-        }
-        out
+        PhaseAttribution(self.0.delta_since(&other.0))
     }
 
     /// Phases sorted by time spent, descending, zero phases omitted.
     pub fn ranked(&self) -> Vec<(TimeCategory, u64)> {
         let mut v: Vec<(TimeCategory, u64)> = TimeCategory::ALL
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| self.nanos[*i] > 0)
-            .map(|(i, c)| (*c, self.nanos[i]))
+            .into_iter()
+            .map(|cat| (cat, self.nanos(cat)))
+            .filter(|(_, nanos)| *nanos > 0)
             .collect();
         v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.label().cmp(b.0.label())));
         v
@@ -121,37 +104,29 @@ impl PhaseAttribution {
     /// with zero phases omitted — byte-stable across identical seeded runs
     /// (the determinism tests compare these strings).
     pub fn canonical(&self) -> String {
-        let mut parts = Vec::new();
-        for (i, cat) in TimeCategory::ALL.iter().enumerate() {
-            if self.counts[i] > 0 || self.nanos[i] > 0 {
-                parts.push(format!(
-                    "{}={}/{}",
-                    cat.label(),
-                    self.nanos[i],
-                    self.counts[i]
-                ));
-            }
-        }
-        parts.join(" ")
+        self.charged()
+            .map(|(cat, nanos, count)| format!("{}={nanos}/{count}", cat.label()))
+            .collect::<Vec<_>>()
+            .join(" ")
     }
 }
 
 impl Serialize for PhaseAttribution {
     /// Serializes as a map `label → {nanos, count}`, zero phases omitted.
     fn to_json(&self) -> Value {
-        let mut pairs = Vec::new();
-        for (i, cat) in TimeCategory::ALL.iter().enumerate() {
-            if self.counts[i] > 0 || self.nanos[i] > 0 {
-                pairs.push((
-                    cat.label().to_string(),
-                    Value::Object(vec![
-                        ("nanos".to_string(), Value::U64(self.nanos[i])),
-                        ("count".to_string(), Value::U64(self.counts[i])),
-                    ]),
-                ));
-            }
-        }
-        Value::Object(pairs)
+        Value::Object(
+            self.charged()
+                .map(|(cat, nanos, count)| {
+                    (
+                        cat.label().to_string(),
+                        Value::Object(vec![
+                            ("nanos".to_string(), Value::U64(nanos)),
+                            ("count".to_string(), Value::U64(count)),
+                        ]),
+                    )
+                })
+                .collect(),
+        )
     }
 }
 
@@ -198,7 +173,7 @@ mod tests {
         clock::sleep_as(TimeCategory::Rtt, Duration::from_micros(200));
         clock::sleep_as(TimeCategory::Fsync, Duration::from_micros(100));
         clock::sleep_as(TimeCategory::Rtt, Duration::from_micros(200));
-        let attr = PhaseAttribution::from_delta(&before, &clock::thread_time_stats());
+        let attr = PhaseAttribution(clock::thread_time_stats().delta_since(&before));
         assert_eq!(attr.count(TimeCategory::Rtt), 2);
         assert_eq!(attr.nanos(TimeCategory::Rtt), 400_000);
         assert_eq!(attr.nanos(TimeCategory::Fsync), 100_000);
@@ -213,12 +188,10 @@ mod tests {
     fn add_sub_and_ranked() {
         let mut a = PhaseAttribution::default();
         let mut b = PhaseAttribution::default();
-        a.counts[0] = 1;
-        a.nanos[0] = 100;
-        b.counts[0] = 2;
-        b.nanos[0] = 50;
-        b.counts[1] = 1;
-        b.nanos[1] = 500;
+        a.0.record(TimeCategory::Rtt, 100);
+        b.0.record(TimeCategory::Rtt, 50);
+        b.0.record(TimeCategory::Rtt, 0);
+        b.0.record(TimeCategory::Fsync, 500);
         a.add(&b);
         assert_eq!(a.nanos(TimeCategory::Rtt), 150);
         assert_eq!(a.ranked()[0].0, TimeCategory::Fsync);
@@ -232,8 +205,9 @@ mod tests {
     #[test]
     fn serializes_as_labelled_map() {
         let mut a = PhaseAttribution::default();
-        a.counts[1] = 3;
-        a.nanos[1] = 900;
+        a.0.record(TimeCategory::Fsync, 900);
+        a.0.record(TimeCategory::Fsync, 0);
+        a.0.record(TimeCategory::Fsync, 0);
         let v = serde_json::to_value(a).unwrap();
         let fsync = v.get("fsync").expect("fsync present");
         assert_eq!(fsync.get("nanos").and_then(Value::as_u64), Some(900));

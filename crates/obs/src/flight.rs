@@ -37,20 +37,24 @@ use crate::critpath::{self, PhaseAttribution, N_PHASES};
 use crate::metrics::{Counter, HistogramMetric};
 use crate::trace::{self, Trace, TraceGuard};
 
+/// Ops per attribution window; [`ExplainReport::recent`] covers the
+/// trailing windows.
+const WINDOW_OPS: u64 = 256;
+/// Completed attribution windows retained per `(system, op)`.
+const MAX_WINDOWS: usize = 8;
+/// Annotations retained per op before the rest are counted as elided.
+const MAX_ANNOTATIONS: usize = 32;
+
 /// Tuning knobs for a [`FlightRecorder`]. [`FlightConfig::from_env`] reads
-/// the `MANTLE_SLOW_*` environment variables; [`Default`] is the same with
-/// an empty environment.
+/// `MANTLE_SLOW_THRESHOLD_NANOS`; [`Default`] is the same with an empty
+/// environment.
 #[derive(Clone, Debug)]
 pub struct FlightConfig {
     /// Slow-op events retained in the bounded ring (oldest evicted, with
     /// drop accounting).
     pub slow_capacity: usize,
-    /// `k` in the adaptive threshold `trailing_p99 × k`
-    /// (`MANTLE_SLOW_K`).
+    /// `k` in the adaptive threshold `trailing_p99 × k`.
     pub threshold_mult: f64,
-    /// Lower bound on the adaptive threshold, so a uniformly fast op type
-    /// does not flag noise (`MANTLE_SLOW_FLOOR_NANOS`).
-    pub floor_nanos: u64,
     /// Fixed threshold overriding the adaptive one entirely
     /// (`MANTLE_SLOW_THRESHOLD_NANOS`).
     pub fixed_threshold_nanos: Option<u64>,
@@ -61,13 +65,6 @@ pub struct FlightConfig {
     /// The adaptive threshold is recomputed every this many ops (a fixed
     /// cadence keeps the decision deterministic under identical seeds).
     pub recompute_every: u64,
-    /// Ops per attribution window; [`ExplainReport::recent`] covers the
-    /// trailing windows.
-    pub window_ops: u64,
-    /// Completed attribution windows retained per `(system, op)`.
-    pub max_windows: usize,
-    /// Annotations retained per op before the rest are counted as elided.
-    pub max_annotations: usize,
 }
 
 impl Default for FlightConfig {
@@ -75,37 +72,23 @@ impl Default for FlightConfig {
         FlightConfig {
             slow_capacity: 256,
             threshold_mult: 4.0,
-            floor_nanos: 0,
             fixed_threshold_nanos: None,
             warmup_ops: 64,
             recompute_every: 32,
-            window_ops: 256,
-            max_windows: 8,
-            max_annotations: 32,
         }
     }
 }
 
 impl FlightConfig {
-    /// Default config with `MANTLE_SLOW_K`, `MANTLE_SLOW_FLOOR_NANOS` and
-    /// `MANTLE_SLOW_THRESHOLD_NANOS` applied on top.
+    /// Default config with `MANTLE_SLOW_THRESHOLD_NANOS` applied on top.
     pub fn from_env() -> Self {
-        let mut cfg = FlightConfig::default();
-        if let Some(k) = env_parse::<f64>("MANTLE_SLOW_K") {
-            if k > 0.0 {
-                cfg.threshold_mult = k;
-            }
+        FlightConfig {
+            fixed_threshold_nanos: std::env::var("MANTLE_SLOW_THRESHOLD_NANOS")
+                .ok()
+                .and_then(|s| s.parse().ok()),
+            ..FlightConfig::default()
         }
-        if let Some(floor) = env_parse::<u64>("MANTLE_SLOW_FLOOR_NANOS") {
-            cfg.floor_nanos = floor;
-        }
-        cfg.fixed_threshold_nanos = env_parse::<u64>("MANTLE_SLOW_THRESHOLD_NANOS");
-        cfg
     }
-}
-
-fn env_parse<T: std::str::FromStr>(key: &str) -> Option<T> {
-    std::env::var(key).ok().and_then(|s| s.parse().ok())
 }
 
 /// One force-captured slow operation.
@@ -131,7 +114,7 @@ pub struct SlowOp {
     /// Capture-point annotations (fault denies, stale-route retries,
     /// fsync retries, failovers …) in the order they happened.
     pub annotations: Vec<String>,
-    /// Annotations dropped after [`FlightConfig::max_annotations`].
+    /// Annotations dropped after the first 32.
     pub annotations_elided: u32,
     /// Per-phase attribution of the whole op; under the virtual clock its
     /// total equals `latency_nanos` exactly.
@@ -456,8 +439,8 @@ impl FlightRecorder {
         st.total.add(&o.phases);
         st.window.add(&o.phases);
         st.window_ops += 1;
-        if st.window_ops >= self.config.window_ops {
-            if st.windows.len() == self.config.max_windows {
+        if st.window_ops >= WINDOW_OPS {
+            if st.windows.len() == MAX_WINDOWS {
                 st.windows.pop_front();
             }
             let full = st.window;
@@ -477,8 +460,7 @@ impl FlightRecorder {
             st.threshold = fixed;
         } else if n >= self.config.warmup_ops && n.is_multiple_of(self.config.recompute_every) {
             let p99 = st.hist.quantile(0.99);
-            let adaptive = (p99 as f64 * self.config.threshold_mult) as u64;
-            st.threshold = adaptive.max(self.config.floor_nanos);
+            st.threshold = (p99 as f64 * self.config.threshold_mult) as u64;
         }
 
         if !is_slow {
@@ -548,7 +530,6 @@ struct ActiveOp {
     ledger0: TimeStats,
     annotations: Vec<String>,
     annotations_elided: u32,
-    max_annotations: usize,
     guard: Option<TraceGuard>,
     sampled: bool,
 }
@@ -606,7 +587,6 @@ pub fn op_scope(system: &str, op: &str, path_depth: u32) -> Option<FlightScope> 
         }
         let sampled = trace::sampler_selects();
         let guard = trace::start_detached(op);
-        let max_annotations = recorder.config.max_annotations;
         *slot = Some(ActiveOp {
             recorder,
             system: system.to_string(),
@@ -616,7 +596,6 @@ pub fn op_scope(system: &str, op: &str, path_depth: u32) -> Option<FlightScope> 
             ledger0: clock::thread_time_stats(),
             annotations: Vec::new(),
             annotations_elided: 0,
-            max_annotations,
             guard,
             sampled,
         });
@@ -645,7 +624,7 @@ pub fn annotate(note: &str) {
 pub fn annotate_with(f: impl FnOnce() -> String) {
     ACTIVE_OP.with(|cell| {
         if let Some(ctx) = cell.borrow_mut().as_mut() {
-            if ctx.annotations.len() < ctx.max_annotations {
+            if ctx.annotations.len() < MAX_ANNOTATIONS {
                 ctx.annotations.push(f());
             } else {
                 ctx.annotations_elided += 1;
@@ -669,7 +648,7 @@ impl Drop for FlightScope {
         // same virtual instant the latency is measured at.
         let trace = ctx.guard.map(TraceGuard::finish);
         let latency_nanos = ctx.started.elapsed().as_nanos() as u64;
-        let phases = PhaseAttribution::from_delta(&ctx.ledger0, &clock::thread_time_stats());
+        let phases = PhaseAttribution(clock::thread_time_stats().delta_since(&ctx.ledger0));
         ctx.recorder.observe(ObservedOp {
             system: ctx.system,
             op: ctx.op,

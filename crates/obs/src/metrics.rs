@@ -399,15 +399,6 @@ impl MetricsSnapshot {
             .map(|h| h.count)
             .sum()
     }
-
-    /// Maximum value of a gauge across every label set (`None` if absent).
-    pub fn gauge_max(&self, name: &str) -> Option<i64> {
-        self.gauges
-            .iter()
-            .filter(|g| g.name == name)
-            .map(|g| g.value)
-            .max()
-    }
 }
 
 /// The process-wide registry every subsystem reports into.

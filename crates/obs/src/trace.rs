@@ -369,7 +369,7 @@ impl Drop for TraceGuard {
 fn commit(ring_on_commit: bool) -> Option<Trace> {
     let finished = ACTIVE.with(|cell| cell.borrow_mut().take())?;
     let elapsed = finished.epoch.elapsed().as_nanos() as u64;
-    let phases = PhaseAttribution::from_delta(&finished.ledger0, &clock::thread_time_stats());
+    let phases = PhaseAttribution(clock::thread_time_stats().delta_since(&finished.ledger0));
     let mut spans = finished.spans;
     if let Some(root) = spans.first_mut() {
         root.dur_nanos = elapsed;
@@ -517,7 +517,7 @@ impl SpanScope {
 impl Drop for SpanScope {
     fn drop(&mut self) {
         let elapsed = self.started.elapsed().as_nanos() as u64;
-        let phases = PhaseAttribution::from_delta(&self.ledger0, &clock::thread_time_stats());
+        let phases = PhaseAttribution(clock::thread_time_stats().delta_since(&self.ledger0));
         ACTIVE.with(|cell| {
             if let Some(active) = cell.borrow_mut().as_mut() {
                 if let Some(span) = active.spans.get_mut(self.id as usize) {

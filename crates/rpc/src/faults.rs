@@ -221,16 +221,6 @@ impl FaultProfile {
         }
     }
 
-    /// The storm profile plus shard-migration crash faults, for chaos runs
-    /// that exercise the placement controller (split/migrate under load).
-    pub fn split_storm() -> Self {
-        FaultProfile {
-            split_prepare_fail_prob: 0.25,
-            split_commit_fail_prob: 0.25,
-            ..FaultProfile::storm()
-        }
-    }
-
     /// The storm profile plus crash-during-snapshot and crash-during-install
     /// faults, for chaos runs exercising Raft snapshotting/compaction
     /// (nightly seeds 32..47).
@@ -361,7 +351,7 @@ impl FaultPlan {
 
     /// Raw deterministic variate in `[0, 1)` for decision `n` of
     /// `(kind, site)`. Pure function of `(seed, kind, site, n)`.
-    /// Finalized with [`splitmix64`].
+    /// Finalized with the splitmix64 mixer.
     fn variate(&self, kind: FaultKind, site: &str, n: u64) -> f64 {
         let mut h = self.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
             ^ kind.idx().wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -497,12 +487,6 @@ impl FaultPlan {
         }
         self.topology_active.store(true, Ordering::Relaxed);
         self.record(FaultKind::Partition, from, format!("block -> {to}"));
-    }
-
-    /// Blocks both directions between `a` and `b`.
-    pub fn partition_both(&self, a: &str, b: &str) {
-        self.partition(a, b);
-        self.partition(b, a);
     }
 
     /// Unblocks the directed edge `from -> to` (exact pattern match).
@@ -1070,17 +1054,6 @@ impl FaultSlot {
         }
         self.plan.read().clone()
     }
-}
-
-/// splitmix64 finalizer — the same mixer the fault plane's deterministic
-/// rolls use. Exposed so the retry engine's optional backoff jitter draws
-/// from the fault-plane PRNG family: a pure function of its input, so
-/// seeded runs stay byte-identical.
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@ pub mod faults;
 pub mod node;
 pub mod retry;
 
-pub use faults::{splitmix64, FaultEvent, FaultKind, FaultPlan, FaultProfile, FaultSlot, RpcFault};
+pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultProfile, FaultSlot, RpcFault};
 pub use node::{NodeSnapshot, SimNode};
 pub use retry::{classify_failover, classify_rename, classify_txn, Pacing, RetryPolicy};
 

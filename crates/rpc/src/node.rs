@@ -351,7 +351,7 @@ impl SimNode {
 
     /// Records a server-side deadline abort decided by this node and returns
     /// the error to propagate. Exposed so layers that abort outside
-    /// [`SimNode::admit`] (e.g. the Raft read path refusing to issue a
+    /// `SimNode::admit` (e.g. the Raft read path refusing to issue a
     /// ReadIndex query for an already-expired request) keep
     /// `simnode_deadline_aborts_total` authoritative for every abort.
     pub fn note_deadline_abort(&self, op: &str) -> MetaError {
@@ -572,10 +572,22 @@ mod tests {
 
     #[test]
     fn permit_wait_histogram_populates() {
+        // The registry is process-global and other tests' nodes record
+        // into the same histogram name concurrently: read only this node's
+        // series.
+        let hist0_count = || {
+            mantle_obs::snapshot()
+                .histograms
+                .iter()
+                .find(|h| {
+                    h.name == "simnode_permit_wait_nanos"
+                        && h.labels == [("node".to_string(), "hist0".to_string())]
+                })
+                .map_or(0, |h| h.count)
+        };
         let node = SimNode::new("hist0", usize::MAX, SimConfig::instant());
-        let before = mantle_obs::snapshot().histogram_count("simnode_permit_wait_nanos");
+        let before = hist0_count();
         node.execute(|| ());
-        let after = mantle_obs::snapshot().histogram_count("simnode_permit_wait_nanos");
-        assert_eq!(after, before + 1);
+        assert_eq!(hist0_count(), before + 1);
     }
 }

@@ -1,14 +1,14 @@
 //! The database core: options, counters, shard construction, and direct
 //! (population/test) access. TafDB is layered (DESIGN.md §4.12):
 //!
-//! - [`crate::shard`] — the per-shard runtime: a
+//! - `shard` — the per-shard runtime: a
 //!   [`mantle_engine::BTreeEngine`] plus row locks, latches, the
 //!   group-commit WAL, checkpoint/restore, and contention tracking;
-//! - [`crate::router`] — epoch-versioned [`ShardMap`] routing, the
+//! - `router` — epoch-versioned [`ShardMap`] routing, the
 //!   `StaleRoute` bounce, and every read path;
-//! - [`crate::exec`] — transaction grouping, the single-shard fast path,
+//! - `exec` — transaction grouping, the single-shard fast path,
 //!   and two-phase commit;
-//! - [`crate::migrate`] — the placement plane: splits, merges, online
+//! - `migrate` — the placement plane: splits, merges, online
 //!   range migration over checkpoint images, and the controller tick.
 
 use std::collections::{HashMap, HashSet};

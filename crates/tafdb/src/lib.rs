@@ -28,9 +28,8 @@
 //!   also produces the checkpoint images snapshots and migration ship.
 //!
 //! The implementation is layered accordingly: [`db`] (core + options),
-//! [`shard`](crate::shard) (per-shard runtime), [`router`](crate::router)
-//! (map routing + reads), [`exec`](crate::exec) (transactions), and
-//! [`migrate`](crate::migrate) (placement plane).
+//! `shard` (per-shard runtime), `router` (map routing + reads), `exec`
+//! (transactions), and `migrate` (placement plane).
 
 pub mod db;
 mod exec;

@@ -57,19 +57,6 @@ pub enum TxnOp {
     },
 }
 
-impl TxnOp {
-    /// The pid whose shard executes this operation.
-    pub fn routing_pid(&self) -> InodeId {
-        match self {
-            TxnOp::InsertUnique { key, .. }
-            | TxnOp::Put { key, .. }
-            | TxnOp::Delete { key }
-            | TxnOp::ExpectExists { key } => key.pid,
-            TxnOp::ExpectEmptyDir { dir } | TxnOp::AttrUpdate { dir, .. } => *dir,
-        }
-    }
-}
-
 /// A concrete write planned during prepare, applied at commit.
 #[derive(Clone, Debug)]
 pub(crate) enum WriteCmd {

@@ -162,6 +162,21 @@ impl TimeStats {
         }
         out
     }
+
+    /// Records one charge of `nanos` under `cat`.
+    pub fn record(&mut self, cat: TimeCategory, nanos: u64) {
+        let e = &mut self.entries[cat as usize];
+        e.0 += 1;
+        e.1 += nanos;
+    }
+
+    /// Folds `other` in, category by category.
+    pub fn add(&mut self, other: &TimeStats) {
+        for (e, o) in self.entries.iter_mut().zip(&other.entries) {
+            e.0 += o.0;
+            e.1 += o.1;
+        }
+    }
 }
 
 struct ThreadClock {
@@ -234,12 +249,7 @@ pub fn now() -> SimInstant {
 }
 
 fn charge(cat: TimeCategory, nanos: u64) {
-    THREAD_CLOCK.with(|c| {
-        let mut c = c.borrow_mut();
-        let e = &mut c.stats.entries[cat as usize];
-        e.0 += 1;
-        e.1 += nanos;
-    });
+    THREAD_CLOCK.with(|c| c.borrow_mut().stats.record(cat, nanos));
 }
 
 /// Advance simulated time by `d`, attributed to `cat`. Under the wall

@@ -98,16 +98,7 @@ pub struct SimConfig {
     /// means unbounded queueing — the pre-admission-control behaviour.
     /// When non-zero, a node sheds requests with `MetaError::Overloaded`
     /// once its modeled backlog reaches the cap (DESIGN.md §4.14).
-    /// Overridable via `MANTLE_QUEUE_CAP` for constructor defaults.
     pub queue_cap: usize,
-}
-
-/// `MANTLE_QUEUE_CAP`, parsed on every constructor call (tests mutate it).
-fn env_queue_cap() -> usize {
-    std::env::var("MANTLE_QUEUE_CAP")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(0)
 }
 
 impl Default for SimConfig {
@@ -120,7 +111,7 @@ impl Default for SimConfig {
             index_level_micros: 2,
             db_node_permits: 16,
             index_node_permits: 8,
-            queue_cap: env_queue_cap(),
+            queue_cap: 0,
         }
     }
 }
@@ -137,7 +128,7 @@ impl SimConfig {
             index_level_micros: 0,
             db_node_permits: usize::MAX,
             index_node_permits: usize::MAX,
-            queue_cap: env_queue_cap(),
+            queue_cap: 0,
         }
     }
 
@@ -152,7 +143,7 @@ impl SimConfig {
             index_level_micros: 1,
             db_node_permits: 16,
             index_node_permits: 32,
-            queue_cap: env_queue_cap(),
+            queue_cap: 0,
         }
     }
 
@@ -191,8 +182,6 @@ mod tests {
 
     #[test]
     fn queue_cap_defaults_to_unbounded() {
-        // MANTLE_QUEUE_CAP is unset in the test environment, so every
-        // constructor yields the legacy unbounded-queue behaviour.
         assert_eq!(SimConfig::default().queue_cap, 0);
         assert_eq!(SimConfig::instant().queue_cap, 0);
         assert_eq!(SimConfig::fast().queue_cap, 0);

@@ -11,9 +11,8 @@
 //! * an optional **deadline** on the simulation clock, propagated to
 //!   servers so they can abort server-side instead of burning service time
 //!   on a request the client has already given up on,
-//! * a **retry budget** decremented by the [`RetryPolicy`] engine
+//! * a **retry budget** decremented by the `RetryPolicy` engine
 //!   (`mantle-rpc`) so one op cannot retry without bound across layers,
-//! * a **priority class** for queue/shed decisions,
 //! * an optional **offered-arrival stamp** used by open-loop drivers so the
 //!   bounded-admission model in `SimNode` sees the *offered* load rather
 //!   than the closed-loop completion rate,
@@ -24,52 +23,12 @@
 
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 use std::time::Duration;
 
 use crate::clock::{self, SimInstant};
 use crate::stats::{OpStats, Phase};
 
-/// Scheduling class of a request, consulted by admission control.
-///
-/// The simulation currently sheds all classes identically once the queue
-/// cap is hit; the class is carried end-to-end so QoS policies (priority
-/// shedding, per-class budgets) can hang off it without another signature
-/// sweep.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum PriorityClass {
-    /// Foreground request on a user-visible latency path (default).
-    Interactive,
-    /// Bulk/batch traffic (scans, migrations) that tolerates queueing.
-    Batch,
-    /// Background maintenance (scrubs, compaction-adjacent reads).
-    Background,
-}
-
-impl PriorityClass {
-    /// Stable label used in metrics and harness output.
-    pub fn label(self) -> &'static str {
-        match self {
-            PriorityClass::Interactive => "interactive",
-            PriorityClass::Batch => "batch",
-            PriorityClass::Background => "background",
-        }
-    }
-}
-
 static NEXT_OP_ID: AtomicU64 = AtomicU64::new(1);
-
-/// `MANTLE_DEFAULT_DEADLINE_MS`, parsed once. `None` (the default) means
-/// requests carry no deadline unless one is set explicitly.
-fn default_deadline_ms() -> Option<u64> {
-    static CACHE: OnceLock<Option<u64>> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        std::env::var("MANTLE_DEFAULT_DEADLINE_MS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .filter(|ms| *ms > 0)
-    })
-}
 
 /// Per-operation request context (see module docs).
 #[derive(Clone, Debug)]
@@ -83,8 +42,6 @@ pub struct RequestCtx {
     /// per-site attempt caps usually bind first (default budget is
     /// effectively unbounded).
     pub retry_budget: u32,
-    /// Scheduling class consulted by admission control.
-    pub priority: PriorityClass,
     /// Offered arrival time (nanos on the simulation clock) stamped by
     /// open-loop drivers. When set, `SimNode`'s admission model measures
     /// queue depth against this arrival instead of the caller's (later)
@@ -101,17 +58,13 @@ impl Default for RequestCtx {
 }
 
 impl RequestCtx {
-    /// A fresh context: unique op id, deadline from
-    /// `MANTLE_DEFAULT_DEADLINE_MS` (none if unset), effectively unbounded
-    /// retry budget, interactive priority, empty stats.
+    /// A fresh context: unique op id, no deadline, effectively unbounded
+    /// retry budget, empty stats.
     pub fn new() -> Self {
-        let op_id = NEXT_OP_ID.fetch_add(1, Ordering::Relaxed);
-        let deadline = default_deadline_ms().map(|ms| clock::now() + Duration::from_millis(ms));
         RequestCtx {
-            op_id,
-            deadline,
+            op_id: NEXT_OP_ID.fetch_add(1, Ordering::Relaxed),
+            deadline: None,
             retry_budget: u32::MAX,
-            priority: PriorityClass::Interactive,
             arrival_nanos: None,
             stats: OpStats::new(),
         }
@@ -132,12 +85,6 @@ impl RequestCtx {
     /// Builder: retry budget.
     pub fn with_budget(mut self, budget: u32) -> Self {
         self.retry_budget = budget;
-        self
-    }
-
-    /// Builder: priority class.
-    pub fn with_priority(mut self, priority: PriorityClass) -> Self {
-        self.priority = priority;
         self
     }
 
@@ -215,7 +162,6 @@ mod tests {
 
     #[test]
     fn no_deadline_by_default() {
-        // MANTLE_DEFAULT_DEADLINE_MS is not set in the test environment.
         let ctx = RequestCtx::new();
         assert!(ctx.deadline.is_none());
         assert!(!ctx.deadline_expired());

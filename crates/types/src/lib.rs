@@ -37,7 +37,7 @@ pub mod stats;
 
 pub use clock::{ClockMode, SimInstant, TimeCategory, TimeStats};
 pub use config::{PlacementConfig, SimConfig, SCALED_DB_SHARDS};
-pub use ctx::{PriorityClass, RequestCtx};
+pub use ctx::RequestCtx;
 pub use error::{MetaError, Result};
 pub use id::{ClientUuid, InodeId, TxnId, ROOT_ID, ROOT_PARENT_ID};
 pub use path::MetaPath;

@@ -60,11 +60,6 @@ impl MetaPath {
         Ok(MetaPath { components })
     }
 
-    /// Builds a path from pre-validated components.
-    pub fn from_components(components: Vec<Arc<str>>) -> Self {
-        MetaPath { components }
-    }
-
     /// Number of components; the root has depth 0.
     #[inline]
     pub fn depth(&self) -> usize {

@@ -365,14 +365,6 @@ impl OpStatsAgg {
         self.phase_nanos[phase.idx()] as f64 / self.count as f64
     }
 
-    /// Mean total latency per op, in microseconds.
-    pub fn mean_total_micros(&self) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        self.phase_nanos.iter().sum::<u64>() as f64 / self.count as f64 / 1_000.0
-    }
-
     /// Mean RPCs per operation.
     pub fn mean_rpcs(&self) -> f64 {
         if self.count == 0 {

@@ -139,10 +139,11 @@ pub struct MdtestReport {
     /// Failed operations (must be zero in healthy runs; in overload runs
     /// every failure should be a shed or a deadline abort).
     pub failed: u64,
-    /// Failures shed by a bounded admission queue ([`MetaError::Overloaded`]).
+    /// Failures shed by a bounded admission queue
+    /// ([`MetaError::Overloaded`](mantle_types::MetaError::Overloaded)).
     pub shed: u64,
     /// Failures aborted server-side on an expired deadline
-    /// ([`MetaError::DeadlineExceeded`]).
+    /// ([`MetaError::DeadlineExceeded`](mantle_types::MetaError::DeadlineExceeded)).
     pub deadline_aborted: u64,
     /// Simulated makespan of the measured section: the longest per-thread
     /// timeline (wall-clock duration under `MANTLE_WALL_CLOCK=1`).
@@ -403,7 +404,7 @@ pub fn run<S: MetadataService + BulkLoad + ?Sized + Sync>(
                             ops_counter.inc();
                         }
                         Err(e) => {
-                            match &e {
+                            match e {
                                 mantle_types::MetaError::Overloaded(_) => {
                                     shed.fetch_add(1, Ordering::Relaxed);
                                 }
@@ -411,9 +412,6 @@ pub fn run<S: MetadataService + BulkLoad + ?Sized + Sync>(
                                     deadline_aborted.fetch_add(1, Ordering::Relaxed);
                                 }
                                 _ => {}
-                            }
-                            if std::env::var_os("MANTLE_DEBUG_ERRORS").is_some() {
-                                eprintln!("mdtest {} failed: {e}", config.op.label());
                             }
                             failed.fetch_add(1, Ordering::Relaxed);
                         }

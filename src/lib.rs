@@ -36,7 +36,7 @@ pub mod prelude {
     pub use mantle_core::{MantleCluster, MantleConfig};
     pub use mantle_rpc::{FaultPlan, FaultProfile};
     pub use mantle_types::{
-        MetaError, MetaPath, MetadataService, OpStats, Permission, Phase, PriorityClass,
-        RequestCtx, Result, RetryClass, SimConfig,
+        MetaError, MetaPath, MetadataService, OpStats, Permission, Phase, RequestCtx, Result,
+        RetryClass, SimConfig,
     };
 }

@@ -29,6 +29,9 @@ fn overload_config(queue_cap: usize) -> MantleConfig {
     // Leader-only reads keep the RPC schedule a pure function of the
     // workload (the perf-gate determinism idiom).
     config.index.follower_reads = false;
+    // The path-lease cache is pinned off regardless of MANTLE_PATH_CACHE:
+    // warm hits would answer lookups without reaching the capped node.
+    config.pcache = mantle::core::PathLeaseConfig::default();
     config
 }
 

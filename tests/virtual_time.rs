@@ -1,9 +1,10 @@
-//! Virtual-clock fidelity tests: determinism across runs and the exact
-//! closed-form latency decomposition of Table 1.
+//! Virtual-clock fidelity tests: determinism across runs, the exact
+//! closed-form latency decomposition of Table 1, and op results that do
+//! not depend on the clock mode.
 //!
-//! Both tests only make sense under the (default) virtual clock, where
-//! latency is a pure function of the RPC/fsync model; they no-op under
-//! `MANTLE_WALL_CLOCK=1`.
+//! The latency tests only make sense under the (default) virtual clock,
+//! where latency is a pure function of the RPC/fsync model; they no-op
+//! under `MANTLE_WALL_CLOCK=1`. The cross-clock test runs under both.
 
 use std::time::Duration;
 
@@ -262,31 +263,54 @@ fn same_seed_and_faults_reproduce_identical_histograms_and_events() {
 }
 
 /// Cross-mode invariant: op results and RPC counts are identical under
-/// both clocks — the clock changes *when*, never *what*.
+/// both clocks — the clock changes *when*, never *what*. Runs at the
+/// default `SimConfig`, so the wall-clock leg really sleeps every modeled
+/// delay the virtual leg charges instantly.
+///
+/// `Exclusive` working sets and leader-only reads keep every count a pure
+/// function of the workload (no conflict retries, no timing-dependent
+/// read-index batching); the path-lease cache is pinned off regardless of
+/// `MANTLE_PATH_CACHE`. Mkdir runs single-threaded: each mkdir allocates
+/// the new directory's inode from a global counter, and the allocation
+/// order across racing threads decides which TafDB shard the attr row
+/// routes to — and with it the 2PC fan-out's RPC count.
 #[test]
 fn op_results_and_rpc_counts_are_clock_independent() {
-    // Runs in both modes; the constants below are the mode-independent
-    // ground truth (64 ops, exactly one RPC per instant-mode lookup).
-    // The path-lease cache is pinned off regardless of MANTLE_PATH_CACHE:
-    // warm hits would drop the per-lookup RPC floor below 1.
-    let mut config = MantleConfig::with_sim(SimConfig::instant(), 4);
-    config.pcache = mantle::core::PathLeaseConfig::default();
-    let cluster = MantleCluster::with_config(config);
-    let report = run(
-        &*cluster.service(),
-        MdtestConfig {
-            threads: 4,
-            ops_per_thread: 16,
-            depth: 6,
-            op: MdOp::Lookup,
-            conflict: ConflictMode::Exclusive,
-            working_set: 32,
-            seed: 5,
-            hotspot: None,
-            open_loop: None,
-        },
-    );
-    assert_eq!(report.failed, 0);
-    assert_eq!(report.completed, 64);
-    assert!(report.agg.mean_rpcs() >= 1.0);
+    // (op, threads, ops/thread, completed, failed, rpcs, txn retries)
+    let suite = [
+        (MdOp::Lookup, 4, 16, 64, 0, 64, 0),
+        (MdOp::Create, 4, 16, 64, 0, 128, 0),
+        (MdOp::Mkdir, 1, 64, 64, 0, 336, 0),
+    ];
+    for (op, threads, ops_per_thread, completed, failed, rpcs, txn_retries) in suite {
+        let mut config = MantleConfig::with_sim(SimConfig::default(), 4);
+        config.index.follower_reads = false;
+        config.pcache = mantle::core::PathLeaseConfig::default();
+        let cluster = MantleCluster::with_config(config);
+        let report = run(
+            &*cluster.service(),
+            MdtestConfig {
+                threads,
+                ops_per_thread,
+                depth: 6,
+                op,
+                conflict: ConflictMode::Exclusive,
+                working_set: 32,
+                seed: 5,
+                hotspot: None,
+                open_loop: None,
+            },
+        );
+        let got = (
+            report.completed,
+            report.failed,
+            report.agg.rpcs,
+            report.agg.txn_retries,
+        );
+        assert_eq!(
+            got,
+            (completed, failed, rpcs, txn_retries),
+            "{op:?}: (completed, failed, rpcs, txn_retries)"
+        );
+    }
 }
