@@ -281,8 +281,10 @@ impl IndexNode {
         let replica = self.pick_read_replica()?;
         if !replica.is_leader() {
             self.metrics.follower_reads.inc();
-            replica.read_index(stats).map_err(Self::map_raft)?;
         }
+        // On the leader this waits for its term-start barrier, so a fresh
+        // leader never serves state its predecessor had moved past.
+        replica.read_index(stats).map_err(Self::map_raft)?;
         let outcome: ResolveOutcome = replica
             .node()
             .try_rpc_named(stats, rpc_name, || replica.state_machine().resolve(path))?;

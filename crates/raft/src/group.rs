@@ -78,6 +78,10 @@ impl<SM: StateMachine> RaftGroup<SM> {
             }
         }
         replicas[0].bootstrap_leader();
+        // Reads wait for a leader's term-start barrier (DESIGN.md §4.15);
+        // committing the bootstrap one here keeps that wait off the first
+        // op. Every replica is up, so the quorum answers.
+        replicas[0].wait_for_applied(1, Duration::from_secs(10));
 
         RaftGroup {
             replicas,
@@ -180,6 +184,7 @@ impl<SM: StateMachine> Drop for RaftGroup<SM> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LogEntry;
     use mantle_types::RequestCtx;
     use parking_lot::Mutex as PlMutex;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -321,6 +326,105 @@ mod tests {
         assert!(learner.last_applied() >= 10);
         assert_eq!(learner.state_machine().count.load(Ordering::SeqCst), 10);
         assert_eq!(stats.rpcs, 1, "batch leader pays one leader RPC");
+    }
+
+    /// A group whose leader only sends AppendEntries when it has entries:
+    /// its heartbeat (and so its piggybacked commit index) is 10 s away,
+    /// and elections never start within a test.
+    const SLOW_HEARTBEAT: Duration = Duration::from_secs(10);
+
+    fn slow_heartbeat_group(n_voters: usize, n_learners: usize) -> RaftGroup<RecordingSm> {
+        let config = SimConfig::instant();
+        let nodes = (0..n_voters + n_learners)
+            .map(|i| Arc::new(SimNode::new(format!("raft{i}"), usize::MAX, config)))
+            .collect();
+        let opts = RaftOptions {
+            heartbeat_interval: SLOW_HEARTBEAT,
+            election_timeout_min: SLOW_HEARTBEAT * 6,
+            election_timeout_max: SLOW_HEARTBEAT * 12,
+            ..RaftOptions::default()
+        };
+        RaftGroup::new(config, opts, nodes, n_voters, |_| RecordingSm::new())
+    }
+
+    #[test]
+    fn follower_read_after_write_needs_no_heartbeat() {
+        let group = slow_heartbeat_group(3, 0);
+        let leader = group.leader().unwrap();
+        let follower = group.replica(1);
+        for round in 0..3 {
+            let index = leader.propose(round).unwrap();
+            let start = Instant::now();
+            let read = follower.read_index(&mut RequestCtx::new()).unwrap();
+            let waited = start.elapsed();
+            assert!(
+                read >= index,
+                "round {round}: read at {read} before write {index}"
+            );
+            assert!(
+                waited < SLOW_HEARTBEAT / 5,
+                "round {round}: follower read waited {waited:?} for a heartbeat"
+            );
+            assert_eq!(
+                *follower.state_machine().applied.lock(),
+                (0..=round).collect::<Vec<_>>()
+            );
+        }
+    }
+
+    #[test]
+    fn follower_read_is_woken_by_the_append_it_waits_for() {
+        // One voter (commits alone) and a learner it cannot reach, so the
+        // learner learns a commit point whose entry it does not hold.
+        let group = slow_heartbeat_group(1, 1);
+        let leader = group.leader().unwrap();
+        let learner = Arc::clone(group.replica(1));
+        let plan = mantle_rpc::FaultPlan::new(0, mantle_rpc::FaultProfile::zeroed());
+        plan.partition("raft0", "raft1");
+        group.install_faults(Some(plan));
+        let index = leader.propose(7).unwrap();
+        assert_eq!(index, 2, "barrier at 1, write at 2");
+
+        let reader = {
+            let learner = Arc::clone(&learner);
+            std::thread::spawn(move || {
+                let read = learner.read_index(&mut RequestCtx::new());
+                (read, Instant::now())
+            })
+        };
+        // The leader has answered the query; without the entry the reader
+        // cannot finish.
+        let asked = Instant::now();
+        while leader.node().snapshot().served == 0 {
+            assert!(
+                asked.elapsed() < SLOW_HEARTBEAT / 5,
+                "query never reached the leader"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!reader.is_finished(), "read finished without the entry");
+
+        // Deliver the entries with a stale leader commit, as an
+        // AppendEntries sent before the write committed would.
+        let term = leader.term();
+        let entries = vec![
+            LogEntry {
+                term,
+                cmd: RecordingSm::barrier(),
+            },
+            LogEntry { term, cmd: 7 },
+        ];
+        let landed = Instant::now();
+        learner.append_entries(term, 0, 0, 0, entries, 0);
+        let (read, done) = reader.join().unwrap();
+        assert_eq!(read, Ok(2));
+        let waited = done - landed;
+        assert!(
+            waited < SLOW_HEARTBEAT / 5,
+            "reader slept {waited:?} after its entry landed"
+        );
+        assert_eq!(*learner.state_machine().applied.lock(), vec![7]);
     }
 
     #[test]

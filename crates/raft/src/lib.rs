@@ -13,7 +13,11 @@
 //!   for the latest `commitIndex`, waits until its local `applyIndex`
 //!   catches up, and then serves the read locally. Concurrent queries are
 //!   batched ([`batcher::CommitIndexBatcher`]) "to minimize the overhead
-//!   imposed on the leader".
+//!   imposed on the leader". The reply is a [`CommitPoint`]
+//!   `(index, term)`: a follower whose log holds that entry commits the
+//!   index itself instead of waiting for the next AppendEntries, and a new
+//!   leader answers only once its term-start barrier has applied
+//!   (DESIGN.md §4.15).
 //! * **Learner replicas** (§5.1.3): non-voting members that receive the log
 //!   and serve ReadIndex reads, adding read capacity without growing the
 //!   quorum.
@@ -40,7 +44,7 @@ pub mod group;
 pub mod log;
 pub mod replica;
 
-pub use batcher::CommitIndexBatcher;
+pub use batcher::{CommitIndexBatcher, CommitPoint};
 pub use group::RaftGroup;
 pub use log::LogEntry;
 pub use replica::{RaftError, RaftOptions, RaftReplica, Role, StateMachine};

@@ -97,7 +97,7 @@ impl RaftMetrics {
     }
 }
 
-use crate::batcher::CommitIndexBatcher;
+use crate::batcher::{CommitIndexBatcher, CommitPoint};
 use crate::log::{LogEntry, RaftLog};
 
 /// The replicated state machine a Raft group drives.
@@ -239,6 +239,13 @@ struct Inner<C> {
     log: RaftLog<C>,
     commit_index: u64,
     last_applied: u64,
+    /// Highest applied index whose post-apply work (the snapshot check)
+    /// has finished too; trails `last_applied` while a snapshot is written.
+    settled_index: u64,
+    /// Readers blocked in `read_index`. `append_entries` that lands
+    /// entries without moving the commit index signals `apply_cv` only when
+    /// some wait, sparing the apply thread a needless wake-up.
+    read_waiters: usize,
     last_heartbeat: Instant,
     leader_hint: Option<usize>,
     /// Leader-only: next log index to send to each peer.
@@ -341,6 +348,8 @@ impl<SM: StateMachine> RaftReplica<SM> {
                 log: RaftLog::default(),
                 commit_index: 0,
                 last_applied: 0,
+                settled_index: 0,
+                read_waiters: 0,
                 last_heartbeat: Instant::now(),
                 leader_hint: None,
                 next_index: vec![1; group_size],
@@ -423,11 +432,6 @@ impl<SM: StateMachine> RaftReplica<SM> {
     /// Whether the replica is up.
     pub fn alive(&self) -> bool {
         self.alive.load(Ordering::Acquire) && !self.shutdown.load(Ordering::Acquire)
-    }
-
-    /// Highest committed log index.
-    pub fn commit_index(&self) -> u64 {
-        self.inner.lock().commit_index
     }
 
     /// Highest applied log index.
@@ -537,6 +541,7 @@ impl<SM: StateMachine> RaftReplica<SM> {
             let image = unframe(&data).expect("known-good snapshot validates");
             self.sm.restore(image);
             g.last_applied = snap_index;
+            g.settled_index = snap_index;
             if g.commit_index < snap_index {
                 g.commit_index = snap_index;
             }
@@ -586,14 +591,9 @@ impl<SM: StateMachine> RaftReplica<SM> {
         // Leader durability: group-committed fsync outside the lock.
         self.wal.append();
 
-        // With a fault plan installed, a partitioned leader must not hang
-        // its proposers forever: bound the wait and surface Unavailable
-        // (retryable — the entry may still commit, but the client-UUID
-        // idempotency layer makes the replay safe). Without a plan the
-        // wait is unbounded, exactly as before.
-        let deadline = self.node.faults().map(|_| {
-            Instant::now() + (self.opts.election_timeout_max * 10).max(Duration::from_secs(2))
-        });
+        // Retryable even if the entry later commits: the client-UUID
+        // idempotency layer makes the replay safe.
+        let deadline = self.fault_wait_deadline();
 
         let mut g = self.inner.lock();
         if g.match_index[self.id] < my_index {
@@ -639,14 +639,25 @@ impl<SM: StateMachine> RaftReplica<SM> {
         }
     }
 
-    /// Blocks until this replica has applied at least `index`, or `timeout`
-    /// elapses. Returns whether the target was reached. Notification-based
-    /// (the apply loop signals `apply_cv`), so callers neither spin nor
-    /// depend on wall-clock sleep granularity.
+    /// With a fault plan installed, a partitioned leader must not hang its
+    /// callers forever: waits for a commit are bounded by this instant and
+    /// surface [`RaftError::Unavailable`] (retryable). Without a plan they
+    /// are unbounded.
+    fn fault_wait_deadline(&self) -> Option<Instant> {
+        self.node.faults().map(|_| {
+            Instant::now() + (self.opts.election_timeout_max * 10).max(Duration::from_secs(2))
+        })
+    }
+
+    /// Blocks until this replica has applied at least `index` and finished
+    /// the post-apply work for it (a due snapshot is taken and counted), or
+    /// `timeout` elapses. Returns whether the target was reached.
+    /// Notification-based (the apply loop signals `apply_cv`), so callers
+    /// neither spin nor depend on wall-clock sleep granularity.
     pub fn wait_for_applied(&self, index: u64, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let mut g = self.inner.lock();
-        while g.last_applied < index {
+        while g.settled_index < index {
             if self.shutdown.load(Ordering::Acquire) {
                 return false;
             }
@@ -662,50 +673,111 @@ impl<SM: StateMachine> RaftReplica<SM> {
     /// ReadIndex (§5.1.3): obtains a linearization-safe commit index and
     /// waits until the local apply index reaches it. On the leader this is
     /// the local commit index; on followers/learners the leader is queried
-    /// (batched) at the cost of one RPC for the batch leader.
+    /// (batched) at the cost of one RPC for the batch leader, and its
+    /// `(index, term)` reply lets this replica commit the index itself as
+    /// soon as its log holds that entry (DESIGN.md §4.15) — no wait for the
+    /// leader's next AppendEntries. Either way the leader first waits for
+    /// its term-start barrier to apply.
     ///
     /// # Errors
     ///
     /// [`RaftError::Unavailable`] when no leader is reachable or this
-    /// replica dies while waiting.
+    /// replica dies while waiting (a leader that steps down while waiting
+    /// for its barrier asks the new leader instead);
+    /// [`RaftError::DeadlineExceeded`] when an expired request reaches a
+    /// follower. The leader-local read issues no ReadIndex round and leaves
+    /// the deadline to the resolve RPC's admission (DESIGN.md §4.14).
     pub fn read_index(&self, stats: &mut RequestCtx) -> Result<u64, RaftError> {
-        if !self.alive() {
-            return Err(RaftError::Unavailable);
+        let point = match self.leader_read_point() {
+            Err(RaftError::NotLeader(_)) => self.query_leader(stats)?,
+            local => return local.map(|p| p.index),
+        };
+        let mut g = self.inner.lock();
+        loop {
+            let commit = learn_commit(&g.log, g.commit_index, point);
+            if commit > g.commit_index {
+                g.commit_index = commit;
+                self.apply_cv.notify_all();
+            }
+            if g.last_applied >= point.index {
+                return Ok(point.index);
+            }
+            if !self.alive() {
+                return Err(RaftError::Unavailable);
+            }
+            // Woken by the apply loop, by `append_entries` landing the
+            // entry this replica lacked, or by a crash; the timeout is only
+            // a backstop.
+            g.read_waiters += 1;
+            self.apply_cv.wait_for(&mut g, self.opts.heartbeat_interval);
+            g.read_waiters -= 1;
         }
+    }
+
+    /// A follower's batched commit-point query to the leader: one RPC for
+    /// the batch leader, none for the readers that join its batch.
+    fn query_leader(&self, stats: &mut RequestCtx) -> Result<CommitPoint, RaftError> {
         if stats.deadline_expired() {
             self.node.note_deadline_abort("read_index");
             return Err(RaftError::DeadlineExceeded);
         }
-        {
-            let g = self.inner.lock();
-            if g.role == Role::Leader {
-                return Ok(g.commit_index);
-            }
-        }
-        const NO_LEADER: u64 = u64::MAX;
-        let ci = self.read_batcher.query(|| {
-            let leader = (0..self.group_size)
-                .filter(|i| *i != self.id)
-                .filter_map(|i| self.peer(i))
-                .find(|p| p.is_leader());
-            match leader {
-                Some(l) if self.edge_cut(&l) => NO_LEADER,
-                Some(l) => l.node.rpc_named(stats, "read_index", || l.commit_index()),
-                None => NO_LEADER,
-            }
-        });
-        if ci == NO_LEADER {
-            return Err(RaftError::Unavailable);
-        }
+        self.read_batcher
+            .query(|| {
+                let leader = (0..self.group_size)
+                    .filter(|i| *i != self.id)
+                    .filter_map(|i| self.peer(i))
+                    .find(|p| p.is_leader())?;
+                if self.edge_cut(&leader) {
+                    return None;
+                }
+                leader
+                    .node
+                    .rpc_named(stats, "read_index", || leader.leader_read_point().ok())
+            })
+            .ok_or(RaftError::Unavailable)
+    }
 
+    /// The leader's answer to a read (Raft thesis §6.4): waits until this
+    /// leader has committed *and applied* an entry of its own term — its
+    /// term-start barrier — and then until it has applied through the
+    /// commit point it returns, so a leader-local read needs no further
+    /// wait. Before the barrier a new leader's commit index and state
+    /// machine can trail entries its predecessor committed, and a read
+    /// served from them would be stale. Bounded under a fault plan like
+    /// [`RaftReplica::propose`].
+    ///
+    /// # Errors
+    ///
+    /// [`RaftError::NotLeader`] when this replica is not (or stops being)
+    /// the leader, [`RaftError::Unavailable`] when it dies or the bound
+    /// passes.
+    fn leader_read_point(&self) -> Result<CommitPoint, RaftError> {
+        let deadline = self.fault_wait_deadline();
         let mut g = self.inner.lock();
-        while g.last_applied < ci {
+        let mut point = None;
+        loop {
             if !self.alive() {
+                return Err(RaftError::Unavailable);
+            }
+            if g.role != Role::Leader {
+                return Err(RaftError::NotLeader(g.leader_hint));
+            }
+            // Every entry from the barrier on is of the current term, so
+            // the applied entry carries it exactly when the barrier applied.
+            if point.is_none() && g.log.term_at(g.last_applied) == Some(g.term) {
+                point = Some(CommitPoint {
+                    index: g.commit_index,
+                    term: g.term,
+                });
+            }
+            if let Some(p) = point.filter(|p| g.last_applied >= p.index) {
+                return Ok(p);
+            }
+            if deadline.is_some_and(|d| Instant::now() > d) {
                 return Err(RaftError::Unavailable);
             }
             self.apply_cv.wait_for(&mut g, Duration::from_millis(10));
         }
-        Ok(ci)
     }
 
     // --- RPC handlers -----------------------------------------------------
@@ -783,6 +855,10 @@ impl<SM: StateMachine> RaftReplica<SM> {
             let target = leader_commit.min(new_last);
             if target > g.commit_index {
                 g.commit_index = target;
+                self.apply_cv.notify_all();
+            } else if n_new > 0 && g.read_waiters > 0 {
+                // A reader in `read_index` may be waiting for exactly these
+                // entries to adopt its leader's commit point.
                 self.apply_cv.notify_all();
             }
             AppendResult {
@@ -1286,11 +1362,24 @@ impl<SM: StateMachine> RaftReplica<SM> {
                     }
                     debug_assert_eq!(g.last_applied + 1, batch[0].0);
                     g.last_applied = last;
-                    self.apply_cv.notify_all();
-                    let (applied, log_bytes) = (g.last_applied, g.log.bytes());
+                    let log_bytes = g.log.bytes();
                     self.metrics.log_bytes.set(log_bytes as i64);
-                    drop(g);
-                    self.maybe_snapshot(applied, log_bytes);
+                    // Proposers wake on `last_applied` now; callers of
+                    // `wait_for_applied` only once a due snapshot is taken.
+                    let snapshot_due = self.snapshot_due(last, log_bytes);
+                    if !snapshot_due {
+                        g.settled_index = last;
+                    }
+                    self.apply_cv.notify_all();
+                    if snapshot_due {
+                        drop(g);
+                        self.take_snapshot(last);
+                        g = self.inner.lock();
+                        if g.install_seq == seq {
+                            g.settled_index = last;
+                            self.apply_cv.notify_all();
+                        }
+                    }
                 }
                 Work::Install(si, st, data) => self.finish_install(si, st, data),
             }
@@ -1299,21 +1388,19 @@ impl<SM: StateMachine> RaftReplica<SM> {
 
     // --- snapshotting --------------------------------------------------------
 
-    /// Considers a snapshot after the apply index advanced (apply thread
-    /// only): due when `snapshot_every` applied entries accumulated since
-    /// the last snapshot *or* the retained log crossed the bytes watermark.
-    fn maybe_snapshot(&self, applied: u64, log_bytes: u64) {
+    /// Whether a snapshot is due after the apply index advanced to
+    /// `applied`: `snapshot_every` applied entries accumulated since the
+    /// last snapshot *or* the retained log crossed the bytes watermark.
+    fn snapshot_due(&self, applied: u64, log_bytes: u64) -> bool {
         if self.opts.snapshot_every == 0 {
-            return;
+            return false;
         }
         let last = self.snap.lock().index;
         let due_count = applied >= last + self.opts.snapshot_every;
         let due_bytes = self.opts.log_watermark_bytes > 0
             && log_bytes > self.opts.log_watermark_bytes
             && applied > last;
-        if due_count || due_bytes {
-            self.take_snapshot(applied);
-        }
+        due_count || due_bytes
     }
 
     /// Captures a snapshot at `applied` (apply thread only, so the state
@@ -1428,6 +1515,7 @@ impl<SM: StateMachine> RaftReplica<SM> {
         if g.last_applied < si {
             g.last_applied = si;
         }
+        g.settled_index = g.last_applied;
         if g.commit_index < si {
             g.commit_index = si;
         }
@@ -1447,5 +1535,57 @@ impl<SM: StateMachine> RaftReplica<SM> {
         self.metrics.installs.inc();
         self.metrics.log_bytes.set(g.log.bytes() as i64);
         self.apply_cv.notify_all();
+    }
+}
+
+/// The follower rule of ReadIndex (DESIGN.md §4.15): the commit index a
+/// replica holding `log` and `commit_index` may adopt from its leader's
+/// commit `point`. When the log holds the entry `(point.index, point.term)`,
+/// Log Matching makes the prefix through it identical to the leader's, and
+/// that prefix is committed; otherwise `commit_index` stands.
+fn learn_commit<C: Clone>(log: &RaftLog<C>, commit_index: u64, point: CommitPoint) -> u64 {
+    if point.index > commit_index && log.term_at(point.index) == Some(point.term) {
+        point.index
+    } else {
+        commit_index
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn log_of(terms: &[u64]) -> RaftLog<u32> {
+        let mut log = RaftLog::default();
+        for &term in terms {
+            log.append(LogEntry { term, cmd: 0 });
+        }
+        log
+    }
+
+    #[test]
+    fn commit_point_adopted_when_the_entry_matches() {
+        let log = log_of(&[1, 1, 2, 2]);
+        let point = CommitPoint { index: 3, term: 2 };
+        assert_eq!(learn_commit(&log, 1, point), 3);
+        // Never moves the commit index backwards.
+        assert_eq!(learn_commit(&log, 4, point), 4);
+    }
+
+    #[test]
+    fn commit_point_with_another_term_is_not_adopted() {
+        // The follower's entry 3 is from term 2; the leader committed a
+        // term-3 entry there, so this suffix will be overwritten.
+        let log = log_of(&[1, 1, 2, 2]);
+        assert_eq!(learn_commit(&log, 1, CommitPoint { index: 3, term: 3 }), 1);
+    }
+
+    #[test]
+    fn commit_point_past_the_log_waits_for_the_entry() {
+        let mut log = log_of(&[1, 1]);
+        let point = CommitPoint { index: 3, term: 1 };
+        assert_eq!(learn_commit(&log, 2, point), 2);
+        log.append(LogEntry { term: 1, cmd: 0 });
+        assert_eq!(learn_commit(&log, 2, point), 3);
     }
 }
